@@ -1,0 +1,574 @@
+"""The finite chain, its order-preserving self-maps, and the combinatorial
+data attached to them: images, interval kernels, subsets, submaps and block
+maps.  Everything downstream works pointwise on the values stored here."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import comb
+
+MIN_CHAIN = 3
+MAX_CHAIN = 12
+
+GREEN_RELATIONS = ("R", "L", "H", "J")
+
+
+def check_chain_size(n: int) -> int:
+    """Validate a chain size; small chains are degenerate, huge ones explode."""
+    if not isinstance(n, int) or not MIN_CHAIN <= n <= MAX_CHAIN:
+        raise ValueError(f"chain size must be an integer in {MIN_CHAIN}..{MAX_CHAIN}, got {n!r}")
+    return n
+
+
+@dataclass(frozen=True)
+class OPMap:
+    """A total order-preserving self-map of the chain 1..n.
+
+    Stored as its image sequence: ``images[x-1]`` is the value of the map at
+    ``x``.  Composition is left to right, so ``(f * g)(x) = g(f(x))``.
+    """
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.images)
+        if n == 0:
+            raise ValueError("empty image sequence")
+        prev = 1
+        for v in self.images:
+            if not 1 <= v <= n:
+                raise ValueError(f"value {v} outside 1..{n} in {self.images}")
+            if v < prev:
+                raise ValueError(f"image sequence {self.images} is not monotone")
+            prev = v
+
+    @classmethod
+    def identity(cls, n: int) -> OPMap:
+        return cls(tuple(range(1, n + 1)))
+
+    @classmethod
+    def constant(cls, n: int, value: int) -> OPMap:
+        return cls((value,) * n)
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    def __call__(self, x: int) -> int:
+        return self.images[x - 1]
+
+    def __mul__(self, other: OPMap) -> OPMap:
+        return compose(self, other)
+
+    def is_identity(self) -> bool:
+        return all(v == x for x, v in enumerate(self.images, start=1))
+
+    def is_singular(self) -> bool:
+        """True when the map belongs to the singular semigroup, i.e. is not the identity."""
+        return not self.is_identity()
+
+    def is_idempotent(self) -> bool:
+        return compose(self, self) == self
+
+    def rank(self) -> int:
+        return len(set(self.images))
+
+    def __str__(self) -> str:
+        return "[" + ",".join(map(str, self.images)) + "]"
+
+
+@dataclass(frozen=True)
+class Subset:
+    """A nonempty subset of the chain 1..n, kept as a strictly increasing tuple."""
+
+    n: int
+    elements: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.elements:
+            raise ValueError("subset must be nonempty")
+        prev = 0
+        for v in self.elements:
+            if not 1 <= v <= self.n:
+                raise ValueError(f"element {v} outside 1..{self.n}")
+            if v <= prev:
+                raise ValueError(f"elements {self.elements} not strictly increasing")
+            prev = v
+
+    @classmethod
+    def of(cls, n: int, elements) -> Subset:
+        return cls(n, tuple(sorted(set(elements))))
+
+    @classmethod
+    def full(cls, n: int) -> Subset:
+        return cls(n, tuple(range(1, n + 1)))
+
+    def is_proper(self) -> bool:
+        return len(self.elements) < self.n
+
+    def issubset(self, other: Subset) -> bool:
+        return self.n == other.n and set(self.elements) <= set(other.elements)
+
+    def __contains__(self, x: int) -> bool:
+        return x in self.elements
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __str__(self) -> str:
+        return "{" + ",".join(map(str, self.elements)) + "}"
+
+
+@dataclass(frozen=True)
+class OrderedPartition:
+    """A partition of 1..n into consecutive intervals, stored by block sizes.
+
+    Storing sizes makes the interval property structural: the i-th block is
+    always the run of ``block_sizes[i]`` elements after the first i runs.
+    """
+
+    n: int
+    block_sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.block_sizes or any(k <= 0 for k in self.block_sizes):
+            raise ValueError(f"block sizes must be positive, got {self.block_sizes}")
+        if sum(self.block_sizes) != self.n:
+            raise ValueError(f"block sizes {self.block_sizes} do not sum to {self.n}")
+
+    @classmethod
+    def identity(cls, n: int) -> OrderedPartition:
+        return cls(n, (1,) * n)
+
+    @classmethod
+    def single_block(cls, n: int) -> OrderedPartition:
+        return cls(n, (n,))
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.block_sizes)
+
+    def is_non_identity(self) -> bool:
+        """True when some block has more than one element."""
+        return self.num_blocks < self.n
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        out, start = [], 1
+        for size in self.block_sizes:
+            out.append(tuple(range(start, start + size)))
+            start += size
+        return tuple(out)
+
+    @cached_property
+    def _block_index(self) -> tuple[int, ...]:
+        idx = [0] * self.n
+        for i, block in enumerate(self.blocks):
+            for x in block:
+                idx[x - 1] = i
+        return tuple(idx)
+
+    def block_of(self, x: int) -> int:
+        """0-based index of the block containing x."""
+        return self._block_index[x - 1]
+
+    @cached_property
+    def cuts(self) -> frozenset[int]:
+        """Positions after which a block ends (excluding n)."""
+        out, total = [], 0
+        for size in self.block_sizes[:-1]:
+            total += size
+            out.append(total)
+        return frozenset(out)
+
+    def refines(self, other: OrderedPartition) -> bool:
+        """True when every block of self lies inside a block of other."""
+        return self.n == other.n and other.cuts <= self.cuts
+
+    def __str__(self) -> str:
+        return "(" + ",".join(map(str, self.block_sizes)) + ")"
+
+
+@dataclass(frozen=True)
+class SubMap:
+    """An order-preserving map between two subsets of the same chain.
+
+    ``values[i]`` is the image of ``domain.elements[i]`` and must lie in the
+    codomain.
+    """
+
+    domain: Subset
+    codomain: Subset
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.domain.n != self.codomain.n:
+            raise ValueError("domain and codomain live on different chains")
+        if len(self.values) != len(self.domain):
+            raise ValueError(f"need {len(self.domain)} values, got {len(self.values)}")
+        prev = 0
+        for v in self.values:
+            if v not in self.codomain:
+                raise ValueError(f"value {v} not in codomain {self.codomain}")
+            if v < prev:
+                raise ValueError(f"values {self.values} not monotone")
+            prev = v
+
+    @classmethod
+    def identity(cls, a: Subset) -> SubMap:
+        return cls(a, a, a.elements)
+
+    @classmethod
+    def inclusion(cls, a: Subset, b: Subset) -> SubMap:
+        if not a.issubset(b):
+            raise ValueError(f"{a} is not a subset of {b}")
+        return cls(a, b, a.elements)
+
+    @property
+    def source(self) -> Subset:
+        return self.domain
+
+    @property
+    def target(self) -> Subset:
+        return self.codomain
+
+    def __call__(self, x: int) -> int:
+        return self.values[self.domain.elements.index(x)]
+
+    def then(self, other: SubMap) -> SubMap:
+        if self.codomain != other.domain:
+            raise ValueError(f"cannot compose: codomain {self.codomain} != domain {other.domain}")
+        return SubMap(self.domain, other.codomain, tuple(other(v) for v in self.values))
+
+    def image(self) -> Subset:
+        return Subset.of(self.domain.n, self.values)
+
+    def is_identity(self) -> bool:
+        return self.domain == self.codomain and self.values == self.domain.elements
+
+    def is_bijective(self) -> bool:
+        return len(set(self.values)) == len(self.values) == len(self.codomain)
+
+    def __str__(self) -> str:
+        return "[" + ",".join(map(str, self.values)) + "]"
+
+
+@dataclass(frozen=True)
+class BlockMap:
+    """An order-preserving map between the block chains of two ordered
+    partitions of the same chain.  Block indices are 0-based; ``images[i]``
+    is the target block index of source block i."""
+
+    source: OrderedPartition
+    target: OrderedPartition
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.source.n != self.target.n:
+            raise ValueError("source and target partition different chains")
+        if len(self.images) != self.source.num_blocks:
+            raise ValueError(f"need {self.source.num_blocks} block images, got {len(self.images)}")
+        prev = 0
+        for j in self.images:
+            if not 0 <= j < self.target.num_blocks:
+                raise ValueError(f"block index {j} out of range for {self.target}")
+            if j < prev:
+                raise ValueError(f"block images {self.images} not monotone")
+            prev = j
+
+    @classmethod
+    def identity(cls, p: OrderedPartition) -> BlockMap:
+        return cls(p, p, tuple(range(p.num_blocks)))
+
+    @classmethod
+    def containment(cls, finer: OrderedPartition, coarser: OrderedPartition) -> BlockMap:
+        """Send each block of the finer partition to the block containing it."""
+        if not finer.refines(coarser):
+            raise ValueError(f"{finer} does not refine {coarser}")
+        images = tuple(coarser.block_of(block[0]) for block in finer.blocks)
+        return cls(finer, coarser, images)
+
+    def __call__(self, i: int) -> int:
+        return self.images[i]
+
+    def then(self, other: BlockMap) -> BlockMap:
+        if self.target != other.source:
+            raise ValueError(f"cannot compose: target {self.target} != source {other.source}")
+        return BlockMap(self.source, other.target, tuple(other.images[j] for j in self.images))
+
+    def is_identity(self) -> bool:
+        return self.source == self.target and self.images == tuple(range(self.source.num_blocks))
+
+    def is_bijective(self) -> bool:
+        return len(set(self.images)) == len(self.images) == self.target.num_blocks
+
+    def __str__(self) -> str:
+        return "[" + ",".join(str(j + 1) for j in self.images) + "]"
+
+
+# ---------------------------------------------------------------------------
+# operations on whole-chain maps
+
+def compose(f: OPMap, g: OPMap) -> OPMap:
+    """Left-to-right composition: apply f, then g."""
+    if f.n != g.n:
+        raise ValueError(f"cannot compose maps on chains of size {f.n} and {g.n}")
+    return OPMap(tuple(g.images[v - 1] for v in f.images))
+
+
+def image(f: OPMap) -> Subset:
+    return Subset.of(f.n, f.images)
+
+
+def kernel(f: OPMap) -> OrderedPartition:
+    """The partition of the chain into fibers of f; monotone fibers are intervals."""
+    sizes = []
+    run, current = 0, f.images[0]
+    for v in f.images:
+        if v == current:
+            run += 1
+        else:
+            sizes.append(run)
+            run, current = 1, v
+    sizes.append(run)
+    return OrderedPartition(f.n, tuple(sizes))
+
+
+def green(f: OPMap, g: OPMap, relation: str) -> bool:
+    """Green's relations by their image/kernel characterization.
+
+    R compares kernels, L compares images, H is equality and J compares ranks.
+    """
+    if f.n != g.n:
+        raise ValueError(f"maps on chains of size {f.n} and {g.n} are not comparable")
+    if relation == "R":
+        return kernel(f) == kernel(g)
+    if relation == "L":
+        return image(f) == image(g)
+    if relation == "H":
+        return f == g
+    if relation == "J":
+        return f.rank() == g.rank()
+    raise ValueError(f"unknown Green relation {relation!r}, expected one of {GREEN_RELATIONS}")
+
+
+@lru_cache(maxsize=None)
+def enumerate_oxn(n: int) -> tuple[OPMap, ...]:
+    """All non-identity order-preserving self-maps of 1..n, lexicographically."""
+    check_chain_size(n)
+    identity = tuple(range(1, n + 1))
+    return tuple(
+        OPMap(seq)
+        for seq in combinations_with_replacement(range(1, n + 1), n)
+        if seq != identity
+    )
+
+
+def oxn_order(n: int) -> int:
+    """Closed form for the number of singular monotone self-maps."""
+    return comb(2 * n - 1, n - 1) - 1
+
+
+@lru_cache(maxsize=None)
+def proper_subsets(n: int) -> tuple[Subset, ...]:
+    """All proper nonempty subsets of 1..n, by size then lexicographically."""
+    check_chain_size(n)
+    out = []
+    for size in range(1, n):
+        for elems in combinations(range(1, n + 1), size):
+            out.append(Subset(n, elems))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def ordered_partitions(n: int, include_identity: bool = False) -> tuple[OrderedPartition, ...]:
+    """All ordered partitions of 1..n (compositions of n), coarsest block counts first."""
+    check_chain_size(n)
+    out: list[OrderedPartition] = []
+
+    def gen(remaining: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            out.append(OrderedPartition(n, prefix))
+            return
+        for k in range(1, remaining + 1):
+            gen(remaining - k, prefix + (k,))
+
+    gen(n, ())
+    out.sort(key=lambda p: (p.num_blocks, p.block_sizes))
+    if not include_identity:
+        out = [p for p in out if p.is_non_identity()]
+    return tuple(out)
+
+
+def idempotent_for_image(a: Subset) -> OPMap:
+    """The step idempotent with image exactly ``a``.
+
+    Sends x to the least element of a that is >= x within the gap structure:
+    x <= a1 goes to a1, a_{i-1} < x <= a_i goes to a_i, x >= a_k goes to a_k.
+    """
+    if not a.is_proper():
+        raise ValueError("image must be a proper subset; the full chain gives the identity")
+    elems = a.elements
+    values = []
+    for x in range(1, a.n + 1):
+        if x <= elems[0]:
+            values.append(elems[0])
+        elif x >= elems[-1]:
+            values.append(elems[-1])
+        else:
+            values.append(min(v for v in elems if v >= x))
+    return OPMap(tuple(values))
+
+
+def idempotent_for_kernel(p: OrderedPartition) -> OPMap:
+    """The idempotent with the given interval kernel, fixing each block's minimum."""
+    if not p.is_non_identity():
+        raise ValueError("kernel must be a non-identity partition")
+    values = []
+    for block in p.blocks:
+        values.extend([block[0]] * len(block))
+    return OPMap(tuple(values))
+
+
+def retraction_for_inclusion(a_sub: Subset, a: Subset) -> SubMap:
+    """The left-endpoint retraction a -> a_sub splitting the inclusion a_sub -> a.
+
+    Elements of a_sub stay fixed; an element of a strictly between consecutive
+    elements of a_sub drops to the lower one; elements outside the span clamp
+    to the nearest end.
+    """
+    if not a_sub.issubset(a):
+        raise ValueError(f"{a_sub} is not a subset of {a}")
+    elems = a_sub.elements
+    values = []
+    for x in a.elements:
+        if x in a_sub:
+            values.append(x)
+        elif x < elems[0]:
+            values.append(elems[0])
+        elif x > elems[-1]:
+            values.append(elems[-1])
+        else:
+            values.append(max(v for v in elems if v <= x))
+    return SubMap(a, a_sub, tuple(values))
+
+
+def separator_idempotent(x_i: int, n: int) -> OPMap:
+    """The two-block step idempotent splitting the chain after ``x_i``.
+
+    Sends everything up to x_i to x_i and everything above to x_i + 1.  Right
+    multiplication by it distinguishes any two kernel-equivalent maps whose
+    first differing image values straddle x_i.
+    """
+    if not 1 <= x_i < n:
+        raise ValueError(f"separator position must satisfy 1 <= x_i < n, got {x_i} for n={n}")
+    return OPMap((x_i,) * x_i + (x_i + 1,) * (n - x_i))
+
+
+def restrict(f: OPMap, a: Subset, codomain: Subset | None = None) -> SubMap:
+    """The restriction of f to a, with codomain the image of the restriction
+    unless a larger one is declared."""
+    values = tuple(f(x) for x in a.elements)
+    cod = codomain if codomain is not None else Subset.of(f.n, values)
+    return SubMap(a, cod, values)
+
+
+def extend_by_idempotent(f: SubMap) -> OPMap:
+    """Extend a submap to a whole-chain map by precomposing with the step
+    idempotent onto its domain.  The extension restricts back to f."""
+    e = idempotent_for_image(f.domain)
+    return OPMap(tuple(f(e(x)) for x in range(1, f.domain.n + 1)))
+
+
+@lru_cache(maxsize=None)
+def submaps_between(a: Subset, b: Subset) -> tuple[SubMap, ...]:
+    """All order-preserving maps a -> b, lexicographically by value sequence."""
+    return tuple(
+        SubMap(a, b, values)
+        for values in combinations_with_replacement(b.elements, len(a))
+    )
+
+
+@lru_cache(maxsize=None)
+def block_maps_between(p: OrderedPartition, q: OrderedPartition) -> tuple[BlockMap, ...]:
+    """All order-preserving block maps p -> q, lexicographically."""
+    return tuple(
+        BlockMap(p, q, images)
+        for images in combinations_with_replacement(range(q.num_blocks), p.num_blocks)
+    )
+
+
+# ---------------------------------------------------------------------------
+# canonical factorizations of submaps and block maps
+
+def factorize_submap(f: SubMap) -> tuple[SubMap, SubMap, SubMap]:
+    """Split f: A -> B as retraction, bijection, inclusion.
+
+    The retraction collapses A onto the minimum of each fiber of f, the
+    bijection is f on that cross-section, and the inclusion embeds the image
+    into B.  All three choices are canonical, so the output is deterministic.
+    """
+    fiber_min: dict[int, int] = {}
+    for x in f.domain.elements:
+        v = f(x)
+        if v not in fiber_min:
+            fiber_min[v] = x
+    cross = Subset.of(f.domain.n, fiber_min.values())
+    q = SubMap(f.domain, cross, tuple(fiber_min[f(x)] for x in f.domain.elements))
+    img = f.image()
+    u = SubMap(cross, img, tuple(f(x) for x in cross.elements))
+    j = SubMap.inclusion(img, f.codomain)
+    return q, u, j
+
+
+def fiber_coarsening(eta: BlockMap) -> OrderedPartition:
+    """Coarsen the source partition by merging consecutive blocks with equal
+    image; monotonicity makes the fibers consecutive runs."""
+    sizes = []
+    run, current = 0, eta.images[0]
+    for size, j in zip(eta.source.block_sizes, eta.images):
+        if j == current:
+            run += size
+        else:
+            sizes.append(run)
+            run, current = size, j
+    sizes.append(run)
+    return OrderedPartition(eta.source.n, tuple(sizes))
+
+
+def image_absorption(eta: BlockMap) -> OrderedPartition:
+    """Coarsen the target partition onto the image blocks of eta.
+
+    Each image block absorbs the unhit blocks since the previous image block;
+    the last image block also absorbs the tail.  With a single image block
+    everything collapses onto it.
+    """
+    target = eta.target
+    hit = sorted(set(eta.images))
+    sizes, start = [], 0
+    for pos, i in enumerate(hit):
+        end = target.num_blocks - 1 if pos == len(hit) - 1 else i
+        sizes.append(sum(target.block_sizes[start : end + 1]))
+        start = end + 1
+    return OrderedPartition(target.n, tuple(sizes))
+
+
+def factorize_block_map(eta: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
+    """Split eta: p2 -> p1 as (zeta, u, v) with eta = v then u then zeta.
+
+    v is the containment of p2 into its fiber coarsening, u the induced
+    bijection onto the image absorption of p1, and zeta picks out the image
+    blocks.  Mirrors factorize_submap on the block level.
+    """
+    sigma = fiber_coarsening(eta)
+    gamma = image_absorption(eta)
+    hit = sorted(set(eta.images))
+    zeta = BlockMap(gamma, eta.target, tuple(hit))
+    u = BlockMap(sigma, gamma, tuple(range(len(hit))))
+    v = BlockMap.containment(eta.source, sigma)
+    return zeta, u, v

@@ -1,0 +1,509 @@
+"""Named verification checks over the whole library.
+
+Each check rebuilds the structures it needs (memoized per chain size),
+verifies one theorem-sized claim exhaustively or by seeded sampling, and
+reports counts plus a structured witness on failure.  The CLI and the
+acceptance tests both run these.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
+
+from . import chain
+from .chain import BlockMap, OPMap, OrderedPartition, check_chain_size
+from .cones import (
+    check_functor_isomorphism,
+    check_normal_category_axioms,
+    cone_json,
+    cone_semigroup,
+    enumerate_normal_cones,
+)
+from .ideals import LCategory, RCategory, RObject, phi_representation
+from .partitions import PartitionCategory, PiMorphism, factorize_pi, functor_g, pi_compose
+from .powerset import PowersetCategory, cone_to_opmap, functor_f
+from .semigroups import (
+    ElementMap,
+    FiniteSemigroup,
+    build,
+    find_isomorphism,
+    is_antihomomorphism,
+    is_homomorphism,
+    is_regular,
+)
+
+EXPORT_ORDER_LIMIT = 2000
+SELECTORS = ("oxn", "TL", "TR", "TPo", "TPi")
+
+
+class ResourceLimit(ValueError):
+    """An export was refused because the table would be too large."""
+
+
+# ---------------------------------------------------------------------------
+# memoized structures
+
+@lru_cache(maxsize=None)
+def oxn_semigroup(n: int) -> FiniteSemigroup:
+    return build(chain.enumerate_oxn(n), chain.compose)
+
+
+@lru_cache(maxsize=None)
+def left_category(n: int) -> LCategory:
+    return LCategory(n)
+
+
+@lru_cache(maxsize=None)
+def right_category(n: int) -> RCategory:
+    return RCategory(n)
+
+
+@lru_cache(maxsize=None)
+def powerset_category(n: int) -> PowersetCategory:
+    return PowersetCategory(n)
+
+
+@lru_cache(maxsize=None)
+def partition_category(n: int) -> PartitionCategory:
+    return PartitionCategory(n)
+
+
+@lru_cache(maxsize=None)
+def tl_semigroup(n: int) -> FiniteSemigroup:
+    cat = left_category(n)
+    return cone_semigroup(cat, [cat.principal_cone(a) for a in chain.enumerate_oxn(n)])
+
+
+@lru_cache(maxsize=None)
+def tpo_semigroup(n: int) -> FiniteSemigroup:
+    cat = powerset_category(n)
+    return cone_semigroup(cat, [cat.cone_from_map(a) for a in chain.enumerate_oxn(n)])
+
+
+@lru_cache(maxsize=None)
+def phi_into_tr(n: int) -> ElementMap:
+    return phi_representation(n, category=right_category(n), source_semigroup=oxn_semigroup(n))
+
+
+@lru_cache(maxsize=None)
+def tpi_semigroup(n: int) -> FiniteSemigroup:
+    cat = partition_category(n)
+    distinct = dict.fromkeys(cat.cone_from_map(a) for a in chain.enumerate_oxn(n))
+    return cone_semigroup(cat, list(distinct))
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+@dataclass
+class CheckReport:
+    check: str
+    n: int
+    status: str
+    counts: dict
+    witness: dict | None
+    elapsed_ms: int
+
+    def to_dict(self) -> dict:
+        return {
+            "check": self.check,
+            "n": self.n,
+            "status": self.status,
+            "counts": self.counts,
+            "witness": self.witness,
+            "elapsed_ms": self.elapsed_ms,
+        }
+
+
+# ---------------------------------------------------------------------------
+# the checks; each returns (ok, counts, witness)
+
+def check_counts(n: int, seed: int = 0):
+    maps = chain.enumerate_oxn(n)
+    expected = chain.oxn_order(n)
+    counts = {"oxn": len(maps), "expected": expected}
+    if len(maps) != expected:
+        return False, counts, {"reason": "enumeration does not match the closed form"}
+    if len(set(maps)) != len(maps):
+        return False, counts, {"reason": "duplicate maps in the enumeration"}
+    if any(not f.is_singular() for f in maps):
+        return False, counts, {"reason": "identity map slipped into the enumeration"}
+    return True, counts, None
+
+
+def check_green(n: int, seed: int = 0):
+    from .semigroups import green_oracle
+
+    s = oxn_semigroup(n)
+    counts = {"elements": s.order, "pairs": s.order * s.order, "relations": 4}
+    for a in s.elements:
+        for b in s.elements:
+            for rel in chain.GREEN_RELATIONS:
+                lhs = chain.green(a, b, rel)
+                rhs = green_oracle(s, a, b, rel)
+                if lhs != rhs:
+                    return False, counts, {
+                        "a": str(a),
+                        "b": str(b),
+                        "relation": rel,
+                        "characterization": lhs,
+                        "oracle": rhs,
+                    }
+    return True, counts, None
+
+
+def _axioms_for(label: str, category) -> tuple[bool, dict, dict | None]:
+    ok, counts, witness = check_normal_category_axioms(category)
+    counts = {f"{label}_{k}": v for k, v in counts.items()}
+    if witness is not None:
+        witness = {"category": label, **witness}
+    return ok, counts, witness
+
+
+def check_factorize_l(n: int, seed: int = 0):
+    ok_l, counts_l, wit_l = _axioms_for("L", left_category(n))
+    if not ok_l:
+        return False, counts_l, wit_l
+    ok_r, counts_r, wit_r = _axioms_for("R", right_category(n))
+    counts = {**counts_l, **counts_r}
+    return ok_r, counts, wit_r
+
+
+def check_factorize_po(n: int, seed: int = 0):
+    return _axioms_for("Po", powerset_category(n))
+
+
+def _sigma_oracle(eta: BlockMap) -> OrderedPartition:
+    """Recompute the fiber coarsening element by element."""
+    n = eta.source.n
+
+    def cls(x: int) -> int:
+        return eta.images[eta.source.block_of(x)]
+
+    sizes, run = [], 1
+    for x in range(2, n + 1):
+        if cls(x) == cls(x - 1):
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    sizes.append(run)
+    return OrderedPartition(n, tuple(sizes))
+
+
+def _gamma_oracle(eta: BlockMap) -> OrderedPartition:
+    """Recompute the image absorption from cut positions: a cut survives
+    exactly after each hit target block except the last."""
+    ends, pos = [], 0
+    for size in eta.target.block_sizes:
+        pos += size
+        ends.append(pos)
+    hit = sorted(set(eta.images))
+    boundaries = sorted(ends[i] for i in hit[:-1]) + [eta.target.n]
+    sizes, prev = [], 0
+    for b in boundaries:
+        sizes.append(b - prev)
+        prev = b
+    return OrderedPartition(eta.target.n, tuple(sizes))
+
+
+def _check_pi_factorization(cat: PartitionCategory, m: PiMorphism) -> dict | None:
+    q, u, v = factorize_pi(m)
+    sigma, gamma = v.source.partition, q.target.partition
+    if sigma != _sigma_oracle(m.eta):
+        return {"reason": "fiber coarsening disagrees with oracle", "morphism": str(m)}
+    if gamma != _gamma_oracle(m.eta):
+        return {"reason": "image absorption disagrees with oracle", "morphism": str(m)}
+    if pi_compose(pi_compose(q, u), v) != m:
+        return {"reason": "factorization does not recompose", "morphism": str(m)}
+    if not cat.is_isomorphism(u):
+        return {"reason": "middle factor is not an isomorphism", "morphism": str(m)}
+    if cat.compose(cat.inclusion(q.target, m.source), q) != cat.identity(q.target):
+        return {"reason": "first factor does not split its inclusion", "morphism": str(m)}
+    if v != cat.inclusion(v.source, v.target):
+        return {"reason": "last factor is not the designated inclusion", "morphism": str(m)}
+    return None
+
+
+def check_factorize_pi(n: int, seed: int = 0):
+    cat = partition_category(n)
+    if n <= 4:
+        ok, counts, witness = _axioms_for("Pi", cat)
+        if not ok:
+            return False, counts, witness
+        checked = 0
+        for a in cat.objects():
+            for b in cat.objects():
+                for m in cat.hom(a, b):
+                    checked += 1
+                    wit = _check_pi_factorization(cat, m)
+                    if wit is not None:
+                        return False, counts, wit
+        counts["Pi_factorizations"] = checked
+        return True, counts, None
+    rng = random.Random(seed)
+    objs = cat.objects()
+    samples = 10_000
+    counts = {"Pi_objects": len(objs), "Pi_sampled": samples}
+    for _ in range(samples):
+        a, b = rng.choice(objs), rng.choice(objs)
+        m = rng.choice(cat.hom(a, b))
+        wit = _check_pi_factorization(cat, m)
+        if wit is not None:
+            return False, counts, wit
+    return True, counts, None
+
+
+def check_cones_principal(n: int, seed: int = 0, _corrupt: Callable | None = None):
+    cat = left_category(n)
+    enumerated = []
+    for vertex in cat.objects():
+        enumerated.extend(enumerate_normal_cones(cat, vertex))
+    if _corrupt is not None:
+        enumerated = _corrupt(enumerated)
+    principal = [cat.principal_cone(a) for a in chain.enumerate_oxn(n)]
+    counts = {"enumerated": len(enumerated), "principal": len(principal)}
+    extra = set(enumerated) - set(principal)
+    missing = set(principal) - set(enumerated)
+    if extra or missing:
+        sample = next(iter(extra or missing))
+        return False, counts, {
+            "reason": "enumerated normal cones differ from principal cones",
+            "extra": len(extra),
+            "missing": len(missing),
+            "cone": cone_json(sample),
+        }
+    if len(set(enumerated)) != len(enumerated):
+        return False, counts, {"reason": "duplicate cones in the enumeration"}
+    return True, counts, None
+
+
+def _explicit_iso_check(ox: FiniteSemigroup, target: FiniteSemigroup, cone_of) -> tuple[ElementMap, bool, bool]:
+    assignment = tuple(target.index[cone_of(a)] for a in ox.elements)
+    phi = ElementMap(ox, target, assignment)
+    return phi, is_homomorphism(phi), phi.is_bijective()
+
+
+def check_tl_iso(n: int, seed: int = 0):
+    ox = oxn_semigroup(n)
+    tl = tl_semigroup(n)
+    cat = left_category(n)
+    phi, hom_ok, bij_ok = _explicit_iso_check(ox, tl, cat.principal_cone)
+    found = find_isomorphism(ox, tl)
+    counts = {
+        "cones": tl.order,
+        "explicit_homomorphism": int(hom_ok),
+        "explicit_bijective": int(bij_ok),
+        "search_found": int(found is not None),
+    }
+    ok = hom_ok and bij_ok and found is not None
+    if not ok:
+        return False, counts, {"reason": "explicit or searched isomorphism with the cone semigroup failed"}
+    return True, counts, None
+
+
+def check_tpo_iso(n: int, seed: int = 0):
+    ox = oxn_semigroup(n)
+    tpo = tpo_semigroup(n)
+    cat = powerset_category(n)
+    phi, hom_ok, bij_ok = _explicit_iso_check(ox, tpo, cat.cone_from_map)
+    found = find_isomorphism(ox, tpo)
+    roundtrip = all(cone_to_opmap(cat.cone_from_map(a)) == a for a in ox.elements)
+    counts = {
+        "cones": tpo.order,
+        "explicit_homomorphism": int(hom_ok),
+        "explicit_bijective": int(bij_ok),
+        "search_found": int(found is not None),
+        "roundtrip": int(roundtrip),
+    }
+    ok = hom_ok and bij_ok and found is not None and roundtrip
+    if not ok:
+        return False, counts, {"reason": "cone semigroup over the subset category is not an isomorphic copy"}
+    return True, counts, None
+
+
+def check_f_iso(n: int, seed: int = 0):
+    functor = functor_f(n, source=left_category(n), target=powerset_category(n))
+    ok, counts, witness = check_functor_isomorphism(functor, exhaustive=n <= 4)
+    counts["exhaustive"] = int(n <= 4)
+    return ok, counts, witness
+
+
+def check_g_iso(n: int, seed: int = 0):
+    functor = functor_g(n, source=right_category(n), target=partition_category(n))
+    ok, counts, witness = check_functor_isomorphism(functor, exhaustive=n <= 4)
+    counts["exhaustive"] = int(n <= 4)
+    return ok, counts, witness
+
+
+def _separator_witnesses_ok(n: int, phi: ElementMap) -> dict | None:
+    """Every kernel-sharing pair must be split by its corrected separator
+    idempotent, both in the semigroup and at the cone component level."""
+    by_kernel: dict[OrderedPartition, list[OPMap]] = {}
+    for a in chain.enumerate_oxn(n):
+        by_kernel.setdefault(chain.kernel(a), []).append(a)
+    cat = right_category(n)
+    for ker, cls in by_kernel.items():
+        reps = [block[0] for block in ker.blocks]
+        for i, a in enumerate(cls):
+            for b in cls[i + 1 :]:
+                pos = next(k for k in reps if a(k) != b(k))
+                x = min(a(pos), b(pos))
+                e = chain.separator_idempotent(x, n)
+                if chain.compose(a, e) == chain.compose(b, e):
+                    return {"reason": "separator fails in the semigroup", "a": str(a), "b": str(b), "e": str(e)}
+                obj = RObject(chain.kernel(e))
+                if phi.apply(a).components[obj] == phi.apply(b).components[obj]:
+                    return {"reason": "separator fails at the cone component", "a": str(a), "b": str(b), "e": str(e)}
+    return None
+
+
+def check_phi_faithful(n: int, seed: int = 0):
+    phi = phi_into_tr(n)
+    injective = phi.is_bijective()
+    anti = is_antihomomorphism(phi)
+    literal = is_homomorphism(phi)
+    counts = {
+        "elements": phi.source.order,
+        "image_cones": phi.target.order,
+        "injective": int(injective),
+        "image_closed": 1,
+        "antihomomorphism": int(anti),
+        "homomorphism_literal": int(literal),
+    }
+    if not injective:
+        return False, counts, {"reason": "representation is not injective"}
+    if not anti:
+        return False, counts, {"reason": "representation does not reverse products consistently"}
+    wit = _separator_witnesses_ok(n, phi)
+    if wit is not None:
+        return False, counts, wit
+    return True, counts, None
+
+
+def check_cone_regular(n: int, seed: int = 0):
+    results = {}
+    witness = None
+    for label, s, cat in (
+        ("TL", tl_semigroup(n), left_category(n)),
+        ("TPo", tpo_semigroup(n), powerset_category(n)),
+    ):
+        results[f"{label}_order"] = s.order
+        results[f"{label}_regular"] = int(is_regular(s))
+        criterion_ok = True
+        for i, cone in enumerate(s.elements):
+            idem = s.table[i][i] == i
+            vertex_identity = cone.components[cone.vertex] == cat.identity(cone.vertex)
+            if idem != vertex_identity:
+                criterion_ok = False
+                witness = {
+                    "reason": "idempotence criterion fails",
+                    "semigroup": label,
+                    "cone": cone_json(cone),
+                }
+                break
+        results[f"{label}_idempotence_criterion"] = int(criterion_ok)
+    ok = all(
+        results[k] == 1
+        for k in results
+        if k.endswith("_regular") or k.endswith("_idempotence_criterion")
+    )
+    if not ok and witness is None:
+        witness = {"reason": "a cone semigroup is not regular"}
+    return ok, results, witness
+
+
+# ---------------------------------------------------------------------------
+# registry and runner
+
+@dataclass(frozen=True)
+class CheckDef:
+    fn: Callable
+    min_n: int
+    max_n: int
+
+
+CHECKS: dict[str, CheckDef] = {
+    "counts": CheckDef(check_counts, 3, 7),
+    "green": CheckDef(check_green, 3, 5),
+    "factorize-L": CheckDef(check_factorize_l, 3, 4),
+    "factorize-Po": CheckDef(check_factorize_po, 3, 4),
+    "factorize-Pi": CheckDef(check_factorize_pi, 3, 5),
+    "cones-principal": CheckDef(check_cones_principal, 3, 4),
+    "TL-iso": CheckDef(check_tl_iso, 3, 5),
+    "F-iso": CheckDef(check_f_iso, 3, 5),
+    "G-iso": CheckDef(check_g_iso, 3, 5),
+    "TPo-iso": CheckDef(check_tpo_iso, 3, 5),
+    "phi-faithful": CheckDef(check_phi_faithful, 3, 5),
+    "cone-regular": CheckDef(check_cone_regular, 3, 4),
+}
+
+
+def run_check(name: str, n: int, seed: int = 0) -> CheckReport:
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}, all")
+    d = CHECKS[name]
+    check_chain_size(n)
+    if not d.min_n <= n <= d.max_n:
+        raise ValueError(f"check {name!r} supports n in {d.min_n}..{d.max_n}, got {n}")
+    start = time.perf_counter()
+    try:
+        ok, counts, witness = d.fn(n, seed)
+    except Exception as exc:  # surface as a failed report, never a crash
+        ok, counts = False, {}
+        witness = {"exception": f"{type(exc).__name__}: {exc}"}
+    elapsed = int((time.perf_counter() - start) * 1000)
+    if not ok and witness is None:
+        witness = {"reason": "check failed without detail"}
+    return CheckReport(name, n, "pass" if ok else "fail", counts, witness, elapsed)
+
+
+def run_all(n: int, seed: int = 0) -> list[CheckReport]:
+    """Run every registered check, capping each at its own maximum size."""
+    check_chain_size(n)
+    reports = []
+    for name, d in CHECKS.items():
+        effective = min(n, d.max_n)
+        report = run_check(name, effective, seed)
+        if effective != n:
+            report.counts["capped_from"] = n
+        reports.append(report)
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# exports
+
+def _semigroup_for(selector: str, n: int) -> FiniteSemigroup:
+    if selector == "oxn":
+        return oxn_semigroup(n)
+    if selector == "TL":
+        return tl_semigroup(n)
+    if selector == "TR":
+        return phi_into_tr(n).target
+    if selector == "TPo":
+        return tpo_semigroup(n)
+    if selector == "TPi":
+        return tpi_semigroup(n)
+    raise ValueError(f"unknown selector {selector!r}; known: {', '.join(SELECTORS)}")
+
+
+def export_cayley(selector: str, n: int, path: str) -> str:
+    """Write the selected Cayley table as JSON, refusing oversized tables."""
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown selector {selector!r}; known: {', '.join(SELECTORS)}")
+    check_chain_size(n)
+    order = chain.oxn_order(n)
+    if order > EXPORT_ORDER_LIMIT:
+        raise ResourceLimit(
+            f"{selector} at n={n} has order {order}, over the export limit {EXPORT_ORDER_LIMIT}"
+        )
+    s = _semigroup_for(selector, n)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(s.to_json())
+        fh.write("\n")
+    return path
