@@ -4,13 +4,16 @@ normal cones.
 A category here is a provider object enumerating objects and hom-sets and
 supplying composition, designated inclusions with their retractions, and a
 deterministic normal factorization.  Cones are dense component tables, so
-every axiom can be checked exhaustively.
+every axiom can be checked exhaustively.  A cone holds each component as its
+code, an int position in the category's cone table for the vertex, so cone
+hashing, equality and products work on small ints.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .semigroups import FiniteSemigroup, build
@@ -20,20 +23,32 @@ class FiniteCategory(ABC):
     """Category with subobjects, explicit enough for exhaustive checking.
 
     Morphism values must be hashable and expose ``source`` and ``target``
-    attributes naming objects of the category.
+    attributes naming objects of the category.  Objects, hom-sets and cone
+    tables are computed on first use and cached on the instance.
     """
 
     def __init__(self):
         self._objects: tuple | None = None
+        self._positions: dict = {}
         self._hom_cache: dict = {}
         self._subobject_pairs: list | None = None
+        self._cone_tables: dict = {}
 
     # -- enumeration ------------------------------------------------------
 
     def objects(self) -> tuple:
         if self._objects is None:
             self._objects = tuple(self._compute_objects())
+            self._positions = {a: k for k, a in enumerate(self._objects)}
         return self._objects
+
+    def position(self, a) -> int:
+        """The index of an object in objects(); ValueError for a non-object."""
+        self.objects()
+        k = self._positions.get(a)
+        if k is None:
+            raise ValueError(f"{a!r} is not an object of this category")
+        return k
 
     def hom(self, a, b) -> tuple:
         key = (a, b)
@@ -49,6 +64,26 @@ class FiniteCategory(ABC):
                 (a, b) for a in objs for b in objs if a != b and self.leq(a, b)
             ]
         return self._subobject_pairs
+
+    def cone_table(self, vertex) -> tuple:
+        """Every morphism into the vertex, numbered for coding cone components.
+
+        Returns ``(members, codes, starts)``: ``members`` concatenates
+        hom(obj, vertex) over the objects in objects() order, ``codes`` maps
+        each member to its index there, and the members with source
+        ``objects()[k]`` fill ``members[starts[k]:starts[k + 1]]``.  The
+        numbering follows the hom-set order, so two separately built copies of
+        a category code their cones alike.
+        """
+        table = self._cone_tables.get(vertex)
+        if table is None:
+            members, starts = [], [0]
+            for obj in self.objects():
+                members.extend(self.hom(obj, vertex))
+                starts.append(len(members))
+            codes = {f: i for i, f in enumerate(members)}
+            table = self._cone_tables[vertex] = (tuple(members), codes, tuple(starts))
+        return table
 
     @abstractmethod
     def _compute_objects(self):
@@ -105,50 +140,96 @@ class FiniteCategory(ABC):
         ...
 
 
+def _code(table: tuple, k: int, f):
+    """The code of f as the component at ``objects()[k]``: its index in the
+    vertex's cone table when f is in that object's hom-set into the vertex,
+    else f itself, which no valid cone holds.  None marks a missing component."""
+    c = table[1].get(f) if f is not None else None
+    if c is not None and table[2][k] <= c < table[2][k + 1]:
+        return c
+    return f
+
+
 class Cone:
     """An assignment of one morphism into a fixed vertex per object,
-    compatible with inclusions."""
+    compatible with inclusions.
 
-    __slots__ = ("category", "vertex", "components", "_hash")
+    Immutable: the components are held as a tuple of codes in objects()
+    order (see ``FiniteCategory.cone_table``), and ``components`` returns a
+    read-only mapping built on each access.  Cones over two separately built
+    copies of a category compare and hash equal when their components do.
+    An incomplete mapping or a component outside its hom-set is kept as
+    given, and such a cone fails ``validate_cone``.
+    """
+
+    __slots__ = ("category", "vertex", "_at", "_table", "_codes", "_hash")
 
     def __init__(self, category: FiniteCategory, vertex, components: Mapping):
-        self.category = category
-        self.vertex = vertex
-        self.components = dict(components)
-        self._hash: int | None = None
+        at = category.position(vertex)
+        for obj in components:
+            category.position(obj)
+        table = category.cone_table(vertex)
+        codes = tuple([_code(table, k, components.get(obj)) for k, obj in enumerate(category.objects())])
+        self._set(category, vertex, at, table, codes)
+
+    @classmethod
+    def _coded(cls, category, vertex, at: int, table: tuple, codes: tuple) -> "Cone":
+        cone = cls.__new__(cls)
+        cone._set(category, vertex, at, table, codes)
+        return cone
+
+    def _set(self, category, vertex, at, table, codes):
+        init = object.__setattr__
+        init(self, "category", category)
+        init(self, "vertex", vertex)
+        init(self, "_at", at)
+        init(self, "_table", table)
+        init(self, "_codes", codes)
+        init(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cones are immutable")
+
+    def _member(self, code):
+        return self._table[0][code] if type(code) is int else code
 
     def component(self, obj):
-        return self.components[obj]
+        code = self._codes[self.category.position(obj)]
+        if code is None:
+            raise KeyError(obj)
+        return self._member(code)
+
+    @property
+    def components(self) -> Mapping:
+        """A read-only mapping from each object to its component."""
+        return MappingProxyType(
+            {obj: self._member(c) for obj, c in zip(self.category.objects(), self._codes) if c is not None}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
             return NotImplemented
-        return self.vertex == other.vertex and self.components == other.components
+        return self._codes == other._codes and self.vertex == other.vertex
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.vertex, frozenset(self.components.items())))
+            object.__setattr__(self, "_hash", hash((self.vertex, self._codes)))
         return self._hash
 
     def __repr__(self):
-        return f"Cone(vertex={self.category.object_label(self.vertex)}, {len(self.components)} components)"
+        present = sum(c is not None for c in self._codes)
+        return f"Cone(vertex={self.category.object_label(self.vertex)}, {present} components)"
 
 
 def validate_cone(cone: Cone) -> bool:
     """Check both cone axioms: components land in the vertex hom-sets and
     restrict correctly along every inclusion."""
-    cat = cone.category
-    objs = cat.objects()
-    if set(cone.components) != set(objs):
+    if not all(type(c) is int for c in cone._codes):
         return False
-    for obj in objs:
-        f = cone.components[obj]
-        if f.source != obj or f.target != cone.vertex:
-            return False
-        if f not in cat.hom(obj, cone.vertex):
-            return False
+    cat = cone.category
+    components = cone.components
     for a, b in cat.subobject_pairs():
-        if cat.compose(cat.inclusion(a, b), cone.components[b]) != cone.components[a]:
+        if cat.compose(cat.inclusion(a, b), components[b]) != components[a]:
             return False
     return True
 
@@ -169,30 +250,76 @@ def is_normal(cone: Cone) -> bool:
     return bool(mset(cone))
 
 
-def cone_mul(gamma: Cone, sigma: Cone) -> Cone:
+class _Products:
+    """The cone products of one semigroup build, by code.
+
+    ``steps[v][s]`` is the step of the second cone's component with code
+    ``s`` in the cone table of vertex position ``v``: the epimorphic part of
+    that component, shared by every component with the same epimorphic part,
+    with its target vertex and ``products``, the code of each first-cone
+    component composed with it.
+    """
+
+    __slots__ = ("steps", "by_epi")
+
+    def __init__(self):
+        self.steps: dict = {}
+        self.by_epi: dict = {}
+
+
+def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     """Multiply two normal cones: compose every component of the first with
-    the epimorphic part of the second's component at the first vertex."""
+    the epimorphic part of the second's component at the first vertex.
+
+    ``memo`` carries factorizations and component products from one call to
+    the next; every entry is computed by the category's ``normal_factorize``
+    and ``compose``.
+    """
     if gamma.category is not sigma.category:
         raise ValueError("cones live over different categories")
     cat = gamma.category
-    f = sigma.components[gamma.vertex]
-    q, u, _ = cat.normal_factorize(f)
-    epi = cat.compose(q, u)
-    components = {obj: cat.compose(g, epi) for obj, g in gamma.components.items()}
-    return Cone(cat, epi.target, components)
+    if memo is None:
+        memo = _Products()
+    steps = memo.steps.get(sigma._at)
+    if steps is None:
+        steps = memo.steps[sigma._at] = {}
+    s = sigma._codes[gamma._at]
+    step = steps.get(s)
+    if step is None:
+        if s is None:
+            raise KeyError(gamma.vertex)
+        q, u, _ = cat.normal_factorize(sigma._member(s))
+        epi = cat.compose(q, u)
+        step = memo.by_epi.get(epi)
+        if step is None:
+            v = epi.target
+            step = memo.by_epi[epi] = (epi, v, cat.position(v), cat.cone_table(v), {})
+        steps[s] = step
+    epi, vertex, at, table, products = step
+    members = gamma._table[0]
+    codes = []
+    for k, c in enumerate(gamma._codes):
+        p = products.get(c)
+        if p is None and c is not None:
+            p = _code(table, k, cat.compose(members[c] if type(c) is int else c, epi))
+            if type(c) is int:
+                products[c] = p
+        codes.append(p)
+    return Cone._coded(cat, vertex, at, table, tuple(codes))
 
 
 def cone_semigroup(category: FiniteCategory, cones, seed: int = 0) -> FiniteSemigroup:
     """The semigroup of the given normal cones under cone multiplication.
 
     Every input cone is validated, and closure failures surface the escaping
-    product.
+    product.  Products share one memo for the length of the build.
     """
     cones = list(cones)
     for c in cones:
         if not validate_cone(c) or not _mset_unchecked(c):
             raise ValueError(f"input {c!r} is not a normal cone")
-    return build(cones, cone_mul, seed=seed)
+    memo = _Products()
+    return build(cones, lambda gamma, sigma: cone_mul(gamma, sigma, memo), seed=seed)
 
 
 def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
@@ -211,9 +338,8 @@ def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
 
     def assign(i: int):
         if i == len(objs):
-            cone = Cone(category, vertex, components)
-            if _mset_unchecked(cone):
-                found.append(cone)
+            if any(category.is_isomorphism(f) for f in components.values()):
+                found.append(Cone(category, vertex, components))
             return
         obj = objs[i]
         if parents[i]:
@@ -336,7 +462,7 @@ def check_normal_category_axioms(category: FiniteCategory) -> tuple[bool, dict, 
             return fail("idempotent-cone-valid", object=category.object_label(a))
         if not _mset_unchecked(gamma):
             return fail("idempotent-cone-normal", object=category.object_label(a))
-        if gamma.components[a] != category.identity(a):
+        if gamma.component(a) != category.identity(a):
             return fail("idempotent-cone-identity", object=category.object_label(a))
     return True, counts, None
 

@@ -116,13 +116,21 @@ class LCategory(FiniteCategory):
         return [LObject(a) for a in proper_subsets(self.n)]
 
     def _compute_hom(self, a: LObject, b: LObject):
+        """hom(a, b) as the canonical forms of the sandwich set e_a*S*e_b,
+        in order of first occurrence over the singular maps.
+
+        Fills the whole row hom(a, .) at once from the distinct one-sided
+        products e_a*s, which are dropped afterwards.
+        """
         e_a = idempotent_for_image(a.image)
-        e_b = idempotent_for_image(b.image)
-        seen = dict.fromkeys(
-            LMorphism(a, b, restrict(compose_maps(compose_maps(e_a, s), e_b), a.image, codomain=b.image))
-            for s in enumerate_oxn(self.n)
-        )
-        return list(seen)
+        left = dict.fromkeys([compose_maps(e_a, s) for s in enumerate_oxn(self.n)])
+        for c in self.objects():
+            e_c = idempotent_for_image(c.image)
+            row = dict.fromkeys(
+                [LMorphism(a, c, restrict(compose_maps(x, e_c), a.image, codomain=c.image)) for x in left]
+            )
+            self._hom_cache.setdefault((a, c), tuple(row))
+        return self._hom_cache[(a, b)]
 
     def compose(self, f, g):
         return l_compose(f, g)
@@ -213,9 +221,14 @@ def r_morphism_from_triple(e: OPMap, v: OPMap, f: OPMap) -> RMorphism:
         raise ValueError("e and f must be idempotent")
     if compose_maps(f, v) != v or compose_maps(v, e) != v:
         raise ValueError(f"{v} is not in the sandwich set f*S*e")
-    pi_e, pi_f = kernel(e), kernel(f)
-    images = tuple(pi_e.block_of(v(block[0])) for block in pi_f.blocks)
-    return RMorphism(RObject(pi_e), RObject(pi_f), BlockMap(pi_f, pi_e, images))
+    return _r_canonical(RObject(kernel(e)), RObject(kernel(f)), v)
+
+
+def _r_canonical(a: RObject, b: RObject, v: OPMap) -> RMorphism:
+    """The canonical form of v in the sandwich set between the kernels a
+    and b: each block of b goes to the block of a holding its v-image."""
+    images = tuple(a.partition.block_of(v(block[0])) for block in b.partition.blocks)
+    return RMorphism(a, b, BlockMap(b.partition, a.partition, images))
 
 
 def r_compose(m1: RMorphism, m2: RMorphism) -> RMorphism:
@@ -240,13 +253,20 @@ class RCategory(FiniteCategory):
         return idempotent_for_kernel(a.partition)
 
     def _compute_hom(self, a: RObject, b: RObject):
-        e = self.representative_idempotent(a)
+        """hom(a, b) as the canonical forms of the sandwich set f*S*e (f, e
+        the representative idempotents of b, a), in order of first
+        occurrence over the singular maps.
+
+        Fills the whole column hom(., b) at once from the distinct one-sided
+        products f*s, which are dropped afterwards.
+        """
         f = self.representative_idempotent(b)
-        seen = dict.fromkeys(
-            r_morphism_from_triple(e, compose_maps(compose_maps(f, s), e), f)
-            for s in enumerate_oxn(self.n)
-        )
-        return list(seen)
+        right = dict.fromkeys([compose_maps(f, s) for s in enumerate_oxn(self.n)])
+        for c in self.objects():
+            e = self.representative_idempotent(c)
+            column = dict.fromkeys([_r_canonical(c, b, compose_maps(y, e)) for y in right])
+            self._hom_cache.setdefault((c, b), tuple(column))
+        return self._hom_cache[(a, b)]
 
     def compose(self, m1, m2):
         return r_compose(m1, m2)

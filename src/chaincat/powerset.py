@@ -98,7 +98,7 @@ def cone_to_opmap(gamma: Cone) -> OPMap:
     if not mset(gamma):
         raise ValueError("cone is not normal")
     n = cat.n
-    values = tuple(gamma.components[Subset(n, (x,))](x) for x in range(1, n + 1))
+    values = tuple(gamma.component(Subset(n, (x,)))(x) for x in range(1, n + 1))
     return OPMap(values)
 
 

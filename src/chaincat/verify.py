@@ -357,7 +357,7 @@ def _separator_witnesses_ok(n: int, phi: ElementMap) -> dict | None:
                 if chain.compose(a, e) == chain.compose(b, e):
                     return {"reason": "separator fails in the semigroup", "a": str(a), "b": str(b), "e": str(e)}
                 obj = RObject(chain.kernel(e))
-                if phi.apply(a).components[obj] == phi.apply(b).components[obj]:
+                if phi.apply(a).component(obj) == phi.apply(b).component(obj):
                     return {"reason": "separator fails at the cone component", "a": str(a), "b": str(b), "e": str(e)}
     return None
 
@@ -397,7 +397,7 @@ def check_cone_regular(n: int, seed: int = 0):
         criterion_ok = True
         for i, cone in enumerate(s.elements):
             idem = s.table[i][i] == i
-            vertex_identity = cone.components[cone.vertex] == cat.identity(cone.vertex)
+            vertex_identity = cone.component(cone.vertex) == cat.identity(cone.vertex)
             if idem != vertex_identity:
                 criterion_ok = False
                 witness = {

@@ -1,0 +1,191 @@
+"""Cone tables and honest hom-sets against their plain definitions, and the
+checks resting on them failing when a defect is planted in a factorization
+or a composed product."""
+
+import pytest
+
+from chaincat import verify
+from chaincat.chain import (
+    BlockMap,
+    OPMap,
+    SubMap,
+    Subset,
+    compose,
+    enumerate_oxn,
+    idempotent_for_image,
+    idempotent_for_kernel,
+)
+from chaincat.ideals import (
+    LCategory,
+    LMorphism,
+    LObject,
+    RCategory,
+    RMorphism,
+    l_morphism_from_triple,
+    r_morphism_from_triple,
+)
+from chaincat.powerset import PowersetCategory
+
+TABLES = {
+    "L": (verify.left_category, verify.tl_semigroup),
+    "Po": (verify.powerset_category, verify.tpo_semigroup),
+    "R": (verify.right_category, lambda n: verify.phi_into_tr(n).target),
+    "Pi": (verify.partition_category, verify.tpi_semigroup),
+}
+
+
+def _plain_product(cat, gamma: dict, gamma_vertex, sigma: dict):
+    """gamma * sigma by the definition: factorize sigma's component at
+    gamma's vertex and compose every gamma component with q*u."""
+    q, u, _ = cat.normal_factorize(sigma[gamma_vertex])
+    epi = cat.compose(q, u)
+    return epi.target, {obj: cat.compose(g, epi) for obj, g in gamma.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("label", list(TABLES))
+def test_cone_table_matches_plain_products(label, n):
+    make_category, make_semigroup = TABLES[label]
+    cat, s = make_category(n), make_semigroup(n)
+    components = [dict(c.components) for c in s.elements]
+    for i, gamma in enumerate(s.elements):
+        for j in range(s.order):
+            vertex, expected = _plain_product(cat, components[i], gamma.vertex, components[j])
+            k = s.table[i][j]
+            assert s.elements[k].vertex == vertex, (label, i, j)
+            assert components[k] == expected, (label, i, j)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_left_hom_sets_are_literal_sandwich_sets(n):
+    cat = LCategory(n)
+    objs = cat.objects()
+    # column by column, so that row fills start from every position
+    for b in objs:
+        for a in objs:
+            e_a, e_b = idempotent_for_image(a.image), idempotent_for_image(b.image)
+            literal = dict.fromkeys(
+                l_morphism_from_triple(e_a, compose(compose(e_a, s), e_b), e_b) for s in enumerate_oxn(n)
+            )
+            assert cat.hom(a, b) == tuple(literal), (a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_right_hom_sets_are_literal_sandwich_sets(n):
+    cat = RCategory(n)
+    objs = cat.objects()
+    # row by row, so that column fills start from every position
+    for a in objs:
+        for b in objs:
+            e, f = idempotent_for_kernel(a.partition), idempotent_for_kernel(b.partition)
+            literal = dict.fromkeys(
+                r_morphism_from_triple(e, compose(compose(f, s), e), f) for s in enumerate_oxn(n)
+            )
+            assert cat.hom(a, b) == tuple(literal), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# planted defects: each check must fail, with a witness, even though the
+# products behind it are memoized
+
+
+@pytest.fixture
+def fresh_builds():
+    """Empty verify's memoized builds before and after, so that the planted
+    defect reaches every structure and no damaged one outlives the test."""
+
+    def clear():
+        for value in vars(verify).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def _plant(monkeypatch, cls, attr, victim_args, damage):
+    """Replace cls.attr so that the call on exactly victim_args returns a
+    damaged result; returns the list recording each hit."""
+    original = getattr(cls, attr)
+    hits = []
+
+    def planted(self, *args):
+        result = original(self, *args)
+        if args == victim_args:
+            hits.append(args)
+            return damage(result)
+        return result
+
+    monkeypatch.setattr(cls, attr, planted)
+    return hits
+
+
+def _assert_fails(name, n, hits):
+    report = verify.run_check(name, n)
+    assert hits, "the planted defect was never reached"
+    assert report.status == "fail" and report.witness is not None
+    return report
+
+
+def test_tl_iso_fails_on_a_wrong_middle_factor(fresh_builds, monkeypatch):
+    # the component of the cone of [1,3,3] at its own vertex {1,3}
+    obj = LObject(Subset(3, (1, 3)))
+    victim = LMorphism(obj, obj, SubMap.identity(obj.image))
+
+    def damage(factors):
+        q, u, j = factors
+        constant = SubMap(u.source.image, u.target.image, (u.target.image.elements[0],) * len(u.source.image))
+        return q, LMorphism(u.source, u.target, constant), j
+
+    hits = _plant(monkeypatch, LCategory, "normal_factorize", (victim,), damage)
+    _assert_fails("TL-iso", 3, hits)
+
+
+def test_tl_iso_fails_on_a_product_inside_the_cone_set(fresh_builds, monkeypatch):
+    # factorizing the identity on {1,3} as the constant map onto 3 sends
+    # every affected product to the cone of the constant map 3: a wrong
+    # table entry that is still a principal cone, so closure holds and a
+    # later check must catch it
+    cat = LCategory(3)
+    obj = LObject(Subset(3, (1, 3)))
+    victim = cat.identity(obj)
+    constant = LMorphism(obj, obj, SubMap(obj.image, obj.image, (3, 3)))
+    wrong = cat.normal_factorize(constant)
+
+    hits = _plant(monkeypatch, LCategory, "normal_factorize", (victim,), lambda _: wrong)
+    report = _assert_fails("TL-iso", 3, hits)
+    assert "ClosureError" not in str(report.witness)
+
+
+def test_phi_faithful_fails_on_a_wrong_middle_factor(fresh_builds, monkeypatch):
+    # the component of the cone of [1,2,2] at its own vertex (1,2)
+    cat = RCategory(3)
+    alpha = OPMap((1, 2, 2))
+    cone = cat.dual_principal_cone(alpha)
+    victim = cone.component(cone.vertex)
+    assert victim == cat.identity(cone.vertex)
+
+    def damage(factors):
+        q, u, v = factors
+        eta = u.eta
+        return q, RMorphism(u.source, u.target, BlockMap(eta.source, eta.target, (0,) * eta.source.num_blocks)), v
+
+    hits = _plant(monkeypatch, RCategory, "normal_factorize", (victim,), damage)
+    _assert_fails("phi-faithful", 3, hits)
+
+
+def test_cone_regular_fails_on_one_wrong_product(fresh_builds, monkeypatch):
+    # [1,1,2] at {1,3}, composed with the epimorphic part (the identity on
+    # {1,2}) of the [1,2,2] cone's component at {1,2}
+    cat = PowersetCategory(3)
+    gamma = cat.cone_from_map(OPMap((1, 1, 2)))
+    sigma = cat.cone_from_map(OPMap((1, 2, 2)))
+    q, u, _ = cat.normal_factorize(sigma.component(gamma.vertex))
+    epi = cat.compose(q, u)
+    g = gamma.component(Subset(3, (1, 3)))
+    right = cat.compose(g, epi)
+    wrong = next(m for m in cat.hom(g.source, epi.target) if m != right)
+
+    hits = _plant(monkeypatch, PowersetCategory, "compose", (g, epi), lambda _: wrong)
+    _assert_fails("cone-regular", 3, hits)

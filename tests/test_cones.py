@@ -11,6 +11,7 @@ from chaincat.cones import (
     mset,
     validate_cone,
 )
+from chaincat.ideals import LCategory, RCategory
 from chaincat.semigroups import ClosureError, is_regular
 from chaincat.verify import left_category, powerset_category
 
@@ -45,6 +46,55 @@ class TestValidate:
         assert not validate_cone(corrupted)
         with pytest.raises(ValueError):
             is_normal(corrupted)
+
+
+class TestImmutability:
+    def test_components_cannot_be_changed_in_place(self, lcat3):
+        # a cone's hash is cached, so a component changed after hashing would
+        # leave the cone filed under its old hash in every set and dict
+        c = lcat3.principal_cone(OPMap((1, 1, 2)))
+        d = lcat3.principal_cone(OPMap((1, 1, 2)))
+        cones = {c}
+        obj = next(o for o in lcat3.objects() if o.image.elements == (1, 3))
+        other = next(m for m in lcat3.hom(obj, c.vertex) if m != c.component(obj))
+        with pytest.raises(TypeError):
+            c.components[obj] = other
+        with pytest.raises(AttributeError):
+            c.vertex = obj
+        assert c.component(obj) != other and c.components[obj] != other
+        assert d in cones and c == d and hash(c) == hash(d)
+
+    @pytest.mark.parametrize("make", [LCategory, RCategory])
+    def test_equal_over_separately_built_categories(self, make):
+        first, second = make(3), make(3)
+        cone = first.principal_cone if make is LCategory else first.dual_principal_cone
+        other = second.principal_cone if make is LCategory else second.dual_principal_cone
+        maps = enumerate_oxn(3)
+        # the second category meets its vertices in the reverse order
+        ours = [cone(a) for a in maps]
+        theirs = [other(a) for a in reversed(maps)][::-1]
+        for x, y in zip(ours, theirs):
+            assert x == y and hash(x) == hash(y)
+            assert dict(x.components) == dict(y.components)
+        assert len(set(ours) | set(theirs)) == len(set(ours))
+
+    def test_incomplete_mapping_is_kept_and_invalid(self, lcat3):
+        cone = lcat3.principal_cone(OPMap((1, 1, 2)))
+        partial = dict(cone.components)
+        missing = next(iter(partial))
+        del partial[missing]
+        c = Cone(lcat3, cone.vertex, partial)
+        assert dict(c.components) == partial and c != cone
+        assert not validate_cone(c)
+        with pytest.raises(KeyError):
+            c.component(missing)
+
+    def test_non_object_rejected(self, lcat3, pocat3):
+        cone = lcat3.principal_cone(OPMap((1, 1, 2)))
+        with pytest.raises(ValueError):
+            Cone(lcat3, cone.vertex.image, {})
+        with pytest.raises(ValueError):
+            Cone(lcat3, cone.vertex, {pocat3.objects()[0]: cone.component(cone.vertex)})
 
 
 class TestMSet:
