@@ -22,29 +22,15 @@ from .chain import (
 from .cones import Cone, Functor, cone_mul, cone_semigroup, enumerate_normal_cones, is_normal, mset, validate_cone
 from .ideals import (
     LCategory,
-    LMorphism,
-    LObject,
     RCategory,
     RMorphism,
-    RObject,
-    l_compose,
+    factorize_pi,
     l_morphism_from_triple,
-    l_normal_factorize,
     phi_representation,
     r_compose,
     r_morphism_from_triple,
 )
-from .partitions import (
-    BarElement,
-    PartitionCategory,
-    PiMorphism,
-    PiObject,
-    factorize_pi,
-    functor_g,
-    pi_compose,
-    pi_inclusion_and_retraction,
-    pi_leq,
-)
+from .partitions import BarElement, PartitionCategory, functor_g
 from .powerset import PowersetCategory, cone_to_opmap, functor_f
 from .semigroups import (
     ElementMap,

@@ -157,7 +157,8 @@ class Cone:
     Immutable: the components are held as a tuple of codes in objects()
     order (see ``FiniteCategory.cone_table``), and ``components`` returns a
     read-only mapping built on each access.  Cones over two separately built
-    copies of a category compare and hash equal when their components do.
+    copies of a category compare and hash equal when their components do;
+    cones over categories of different classes never compare equal.
     An incomplete mapping or a component outside its hom-set is kept as
     given, and such a cone fails ``validate_cone``.
     """
@@ -209,7 +210,11 @@ class Cone:
     def __eq__(self, other):
         if not isinstance(other, Cone):
             return NotImplemented
-        return self._codes == other._codes and self.vertex == other.vertex
+        return (
+            self._codes == other._codes
+            and self.vertex == other.vertex
+            and type(self.category) is type(other.category)
+        )
 
     def __hash__(self):
         if self._hash is None:
@@ -327,11 +332,13 @@ def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
 
     Objects are assigned in decreasing subobject order, so each non-maximal
     object's component is forced by any already-assigned object above it;
-    conflicting forcings prune the branch.
+    conflicting forcings prune the branch.  Each object's inclusions into
+    its assigned parents are built once, up front.
     """
     objs = sorted(category.objects(), key=category.object_sort_key)
-    parents: list[list[int]] = [
-        [j for j in range(i) if category.leq(objs[i], objs[j])] for i in range(len(objs))
+    parents: list[list[tuple]] = [
+        [(objs[j], category.inclusion(obj, objs[j])) for j in range(i) if category.leq(obj, objs[j])]
+        for i, obj in enumerate(objs)
     ]
     found: list[Cone] = []
     components: dict = {}
@@ -343,10 +350,10 @@ def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
             return
         obj = objs[i]
         if parents[i]:
-            first = parents[i][0]
-            forced = category.compose(category.inclusion(obj, objs[first]), components[objs[first]])
-            for p in parents[i][1:]:
-                if category.compose(category.inclusion(obj, objs[p]), components[objs[p]]) != forced:
+            (first, j), *rest = parents[i]
+            forced = category.compose(j, components[first])
+            for p, j in rest:
+                if category.compose(j, components[p]) != forced:
                     return
             components[obj] = forced
             assign(i + 1)

@@ -1,11 +1,12 @@
 """The categories of principal left and right ideals of the singular
 order-preserving maps.
 
-Left-ideal objects are keyed by the image subset and right-ideal objects by
-the kernel partition, since the ideal depends only on those; morphisms are
-kept in canonical form (the restriction submap, respectively the induced
-block map), and hom-sets are computed honestly from semigroup elements
-rather than assumed combinatorially.
+A left-ideal object is its image subset and a right-ideal object its kernel
+partition, since the ideal depends only on those.  Morphisms are kept in
+canonical form: the restriction submap, respectively the induced block map
+wrapped as an ``RMorphism``.  Hom-sets are computed honestly from semigroup
+elements rather than assumed combinatorially; the powerset and partition
+categories reuse these two classes and enumerate their hom-sets instead.
 """
 
 from __future__ import annotations
@@ -36,175 +37,112 @@ from .semigroups import ElementMap, build as build_semigroup
 from .chain import compose as compose_maps
 
 
-@dataclass(frozen=True)
-class LObject:
-    """A principal left ideal, identified by the common image of its
-    generating idempotents."""
+def l_morphism_from_triple(e_a: OPMap, u: OPMap, e_b: OPMap) -> SubMap:
+    """Canonicalize a right-translation triple to the restriction of u to
+    the image of e_a, into the image of e_b.
 
-    image: Subset
-
-    def __post_init__(self):
-        if not self.image.is_proper():
-            raise ValueError(f"left-ideal object needs a proper subset, got {self.image}")
-
-    def __str__(self) -> str:
-        return str(self.image)
-
-
-@dataclass(frozen=True)
-class LMorphism:
-    """A partial right translation between principal left ideals, in its
-    canonical form: the restriction of the translating element to the source
-    image."""
-
-    source: LObject
-    target: LObject
-    action: SubMap
-
-    def __post_init__(self):
-        if self.action.domain != self.source.image or self.action.codomain != self.target.image:
-            raise ValueError("action does not match the source/target images")
-
-    def __str__(self) -> str:
-        return f"rho({self.source} -> {self.target}: {self.action})"
-
-
-def l_morphism_from_triple(e_a: OPMap, u: OPMap, e_b: OPMap) -> LMorphism:
-    """Canonicalize a right-translation triple.
-
-    Requires e_a, e_b idempotent and u in the sandwich set e_a*S*e_b, checked
-    as e_a*u = u = u*e_b.  Triples with the same restriction to the source
-    image canonicalize to the same morphism.
+    Requires e_a, e_b singular idempotents and u in the sandwich set
+    e_a*S*e_b, checked as e_a*u = u = u*e_b.  Triples with the same
+    restriction to the source image canonicalize to the same morphism.
     """
     if not e_a.is_idempotent() or not e_b.is_idempotent():
         raise ValueError("e_a and e_b must be idempotent")
     if compose_maps(e_a, u) != u or compose_maps(u, e_b) != u:
         raise ValueError(f"{u} is not in the sandwich set e_a*S*e_b")
     a, b = image(e_a), image(e_b)
-    return LMorphism(LObject(a), LObject(b), restrict(u, a, codomain=b))
-
-
-def l_compose(r1: LMorphism, r2: LMorphism) -> LMorphism:
-    if r1.target != r2.source:
-        raise ValueError(f"cannot compose {r1} with {r2}")
-    return LMorphism(r1.source, r2.target, r1.action.then(r2.action))
-
-
-def l_normal_factorize(r: LMorphism) -> tuple[LMorphism, LMorphism, LMorphism]:
-    """Retraction onto the minimum-representative cross-section of the action
-    kernel, the induced bijection onto the action image, and the image
-    inclusion."""
-    q, u, j = factorize_submap(r.action)
-    mid = LObject(q.codomain)
-    img = LObject(u.codomain)
-    return (
-        LMorphism(r.source, mid, q),
-        LMorphism(mid, img, u),
-        LMorphism(img, r.target, j),
-    )
+    if not a.is_proper() or not b.is_proper():
+        raise ValueError("left-ideal objects need proper subsets")
+    return restrict(u, a, codomain=b)
 
 
 class LCategory(FiniteCategory):
     """The category of principal left ideals of the singular monotone maps
-    on a chain of size n."""
+    on a chain of size n: proper subsets as objects, submaps as morphisms,
+    hom(a, b) the canonical forms of the sandwich set e_a*S*e_b."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = check_chain_size(n)
 
     def _compute_objects(self):
-        return [LObject(a) for a in proper_subsets(self.n)]
+        return proper_subsets(self.n)
 
-    def _compute_hom(self, a: LObject, b: LObject):
+    def _compute_hom(self, a: Subset, b: Subset):
         """hom(a, b) as the canonical forms of the sandwich set e_a*S*e_b,
         in order of first occurrence over the singular maps.
 
         Fills the whole row hom(a, .) at once from the distinct one-sided
         products e_a*s, which are dropped afterwards.
         """
-        e_a = idempotent_for_image(a.image)
+        e_a = idempotent_for_image(a)
         left = dict.fromkeys([compose_maps(e_a, s) for s in enumerate_oxn(self.n)])
         for c in self.objects():
-            e_c = idempotent_for_image(c.image)
-            row = dict.fromkeys(
-                [LMorphism(a, c, restrict(compose_maps(x, e_c), a.image, codomain=c.image)) for x in left]
-            )
+            e_c = idempotent_for_image(c)
+            row = dict.fromkeys([restrict(compose_maps(x, e_c), a, codomain=c) for x in left])
             self._hom_cache.setdefault((a, c), tuple(row))
         return self._hom_cache[(a, b)]
 
-    def compose(self, f, g):
-        return l_compose(f, g)
+    def compose(self, f: SubMap, g: SubMap) -> SubMap:
+        return f.then(g)
 
-    def identity(self, a: LObject) -> LMorphism:
-        return LMorphism(a, a, SubMap.identity(a.image))
+    def identity(self, a: Subset) -> SubMap:
+        return SubMap.identity(a)
 
-    def leq(self, a: LObject, b: LObject) -> bool:
-        return a.image.issubset(b.image)
+    def leq(self, a: Subset, b: Subset) -> bool:
+        return a.issubset(b)
 
-    def inclusion(self, a: LObject, b: LObject) -> LMorphism:
-        return LMorphism(a, b, SubMap.inclusion(a.image, b.image))
+    def inclusion(self, a: Subset, b: Subset) -> SubMap:
+        return SubMap.inclusion(a, b)
 
-    def retraction(self, a: LObject, b: LObject) -> LMorphism:
-        return LMorphism(b, a, retraction_for_inclusion(a.image, b.image))
+    def retraction(self, a: Subset, b: Subset) -> SubMap:
+        return retraction_for_inclusion(a, b)
 
-    def normal_factorize(self, f: LMorphism):
-        return l_normal_factorize(f)
+    def normal_factorize(self, f: SubMap):
+        """Retraction onto the minimum-representative cross-section of the
+        kernel, the induced bijection onto the image, and the image
+        inclusion."""
+        return factorize_submap(f)
 
-    def is_isomorphism(self, f: LMorphism) -> bool:
-        return f.action.is_bijective()
+    def is_isomorphism(self, f: SubMap) -> bool:
+        return f.is_bijective()
 
-    def idempotent_cone(self, vertex: LObject) -> Cone:
-        return self.principal_cone(idempotent_for_image(vertex.image))
+    def idempotent_cone(self, vertex: Subset) -> Cone:
+        return self.principal_cone(idempotent_for_image(vertex))
 
-    def object_sort_key(self, a: LObject):
-        return (-len(a.image), a.image.elements)
+    def object_sort_key(self, a: Subset):
+        return (-len(a), a.elements)
 
-    def object_label(self, a: LObject) -> str:
-        return str(a.image)
+    def object_label(self, a: Subset) -> str:
+        return str(a)
 
-    def morphism_label(self, f: LMorphism) -> str:
-        return str(f)
+    def morphism_label(self, f: SubMap) -> str:
+        return f"rho({f.domain} -> {f.codomain}: {f})"
 
     def principal_cone(self, alpha: OPMap) -> Cone:
-        """The cone whose component at each object restricts alpha there."""
+        """The cone with vertex the image of alpha whose component at each
+        object restricts alpha there."""
         if not alpha.is_singular():
             raise ValueError("principal cones are generated by singular maps")
-        vertex = LObject(image(alpha))
-        components = {
-            obj: LMorphism(obj, vertex, restrict(alpha, obj.image, codomain=vertex.image))
-            for obj in self.objects()
-        }
+        vertex = image(alpha)
+        components = {obj: restrict(alpha, obj, codomain=vertex) for obj in self.objects()}
         return Cone(self, vertex, components)
-
-
-@dataclass(frozen=True)
-class RObject:
-    """A principal right ideal, identified by the common kernel partition of
-    its generating idempotents."""
-
-    partition: OrderedPartition
-
-    def __post_init__(self):
-        if not self.partition.is_non_identity():
-            raise ValueError(f"right-ideal object needs a non-identity partition, got {self.partition}")
-
-    def __str__(self) -> str:
-        return str(self.partition)
 
 
 @dataclass(frozen=True)
 class RMorphism:
     """A partial left translation between principal right ideals, in its
-    canonical form: the induced block map from the target kernel back to the
-    source kernel."""
+    canonical form: the block map eta from the target kernel back to the
+    source kernel.  Morphisms compose contravariantly on eta."""
 
-    source: RObject
-    target: RObject
     eta: BlockMap
 
-    def __post_init__(self):
-        if self.eta.source != self.target.partition or self.eta.target != self.source.partition:
-            raise ValueError("eta must map the target partition into the source partition")
+    @property
+    def source(self) -> OrderedPartition:
+        return self.eta.target
+
+    @property
+    def target(self) -> OrderedPartition:
+        return self.eta.source
 
     def __str__(self) -> str:
         return f"lambda({self.source} -> {self.target}: {self.eta})"
@@ -213,46 +151,57 @@ class RMorphism:
 def r_morphism_from_triple(e: OPMap, v: OPMap, f: OPMap) -> RMorphism:
     """Canonicalize a left-translation triple.
 
-    Requires e, f idempotent and v in the sandwich set f*S*e, checked as
-    f*v = v = v*e.  The canonical block map sends each block of ker f to the
-    e-fiber of its v-image.
+    Requires e, f singular idempotents and v in the sandwich set f*S*e,
+    checked as f*v = v = v*e.  The canonical block map sends each block of
+    ker f to the e-fiber of its v-image.
     """
     if not e.is_idempotent() or not f.is_idempotent():
         raise ValueError("e and f must be idempotent")
     if compose_maps(f, v) != v or compose_maps(v, e) != v:
         raise ValueError(f"{v} is not in the sandwich set f*S*e")
-    return _r_canonical(RObject(kernel(e)), RObject(kernel(f)), v)
+    a, b = kernel(e), kernel(f)
+    if not a.is_non_identity() or not b.is_non_identity():
+        raise ValueError("right-ideal objects need non-identity partitions")
+    return r_canonical(a, b, v)
 
 
-def _r_canonical(a: RObject, b: RObject, v: OPMap) -> RMorphism:
+def r_canonical(a: OrderedPartition, b: OrderedPartition, v: OPMap) -> RMorphism:
     """The canonical form of v in the sandwich set between the kernels a
     and b: each block of b goes to the block of a holding its v-image."""
-    images = tuple(a.partition.block_of(v(block[0])) for block in b.partition.blocks)
-    return RMorphism(a, b, BlockMap(b.partition, a.partition, images))
+    return RMorphism(BlockMap(b, a, tuple(a.block_of(v(block[0])) for block in b.blocks)))
 
 
 def r_compose(m1: RMorphism, m2: RMorphism) -> RMorphism:
     """Left translations compose contravariantly on the block maps."""
     if m1.target != m2.source:
         raise ValueError(f"cannot compose {m1} with {m2}")
-    return RMorphism(m1.source, m2.target, m2.eta.then(m1.eta))
+    return RMorphism(m2.eta.then(m1.eta))
+
+
+def factorize_pi(m: RMorphism) -> tuple[RMorphism, RMorphism, RMorphism]:
+    """Normal factorization through the fiber coarsening and the image
+    absorption of the underlying block map."""
+    zeta, u, v = factorize_block_map(m.eta)
+    return RMorphism(zeta), RMorphism(u), RMorphism(v)
 
 
 class RCategory(FiniteCategory):
     """The category of principal right ideals of the singular monotone maps
-    on a chain of size n, carried by block maps between kernel partitions."""
+    on a chain of size n: non-identity ordered partitions as objects, block
+    maps running backwards as morphisms, hom(a, b) the canonical forms of
+    the sandwich set f*S*e."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = check_chain_size(n)
 
     def _compute_objects(self):
-        return [RObject(p) for p in ordered_partitions(self.n)]
+        return ordered_partitions(self.n)
 
-    def representative_idempotent(self, a: RObject) -> OPMap:
-        return idempotent_for_kernel(a.partition)
+    def representative_idempotent(self, a: OrderedPartition) -> OPMap:
+        return idempotent_for_kernel(a)
 
-    def _compute_hom(self, a: RObject, b: RObject):
+    def _compute_hom(self, a: OrderedPartition, b: OrderedPartition):
         """hom(a, b) as the canonical forms of the sandwich set f*S*e (f, e
         the representative idempotents of b, a), in order of first
         occurrence over the singular maps.
@@ -264,50 +213,42 @@ class RCategory(FiniteCategory):
         right = dict.fromkeys([compose_maps(f, s) for s in enumerate_oxn(self.n)])
         for c in self.objects():
             e = self.representative_idempotent(c)
-            column = dict.fromkeys([_r_canonical(c, b, compose_maps(y, e)) for y in right])
+            column = dict.fromkeys([r_canonical(c, b, compose_maps(y, e)) for y in right])
             self._hom_cache.setdefault((c, b), tuple(column))
         return self._hom_cache[(a, b)]
 
-    def compose(self, m1, m2):
+    def compose(self, m1: RMorphism, m2: RMorphism) -> RMorphism:
         return r_compose(m1, m2)
 
-    def identity(self, a: RObject) -> RMorphism:
-        return RMorphism(a, a, BlockMap.identity(a.partition))
+    def identity(self, a: OrderedPartition) -> RMorphism:
+        return RMorphism(BlockMap.identity(a))
 
-    def leq(self, a: RObject, b: RObject) -> bool:
-        return b.partition.refines(a.partition)
+    def leq(self, a: OrderedPartition, b: OrderedPartition) -> bool:
+        """a is below b exactly when b refines a."""
+        return b.refines(a)
 
-    def inclusion(self, a: RObject, b: RObject) -> RMorphism:
-        return RMorphism(a, b, BlockMap.containment(b.partition, a.partition))
+    def inclusion(self, a: OrderedPartition, b: OrderedPartition) -> RMorphism:
+        """Carried by block containment of b in a."""
+        return RMorphism(BlockMap.containment(b, a))
 
-    def retraction(self, a: RObject, b: RObject) -> RMorphism:
-        eta = BlockMap(
-            a.partition,
-            b.partition,
-            tuple(b.partition.block_of(block[0]) for block in a.partition.blocks),
-        )
-        return RMorphism(b, a, eta)
+    def retraction(self, a: OrderedPartition, b: OrderedPartition) -> RMorphism:
+        """Picks for each block of a the block of b holding its minimum."""
+        return RMorphism(BlockMap(a, b, tuple(b.block_of(block[0]) for block in a.blocks)))
 
     def normal_factorize(self, m: RMorphism):
-        zeta, u, v = factorize_block_map(m.eta)
-        mid, img = RObject(zeta.source), RObject(v.target)
-        return (
-            RMorphism(m.source, mid, zeta),
-            RMorphism(mid, img, u),
-            RMorphism(img, m.target, v),
-        )
+        return factorize_pi(m)
 
     def is_isomorphism(self, m: RMorphism) -> bool:
         return m.eta.is_bijective()
 
-    def idempotent_cone(self, vertex: RObject) -> Cone:
-        return self.dual_principal_cone(idempotent_for_kernel(vertex.partition))
+    def idempotent_cone(self, vertex: OrderedPartition) -> Cone:
+        return self.dual_principal_cone(idempotent_for_kernel(vertex))
 
-    def object_sort_key(self, a: RObject):
-        return (-a.partition.num_blocks, a.partition.block_sizes)
+    def object_sort_key(self, a: OrderedPartition):
+        return (-a.num_blocks, a.block_sizes)
 
-    def object_label(self, a: RObject) -> str:
-        return str(a.partition)
+    def object_label(self, a: OrderedPartition) -> str:
+        return str(a)
 
     def morphism_label(self, m: RMorphism) -> str:
         return str(m)
@@ -318,13 +259,8 @@ class RCategory(FiniteCategory):
         its alpha-image."""
         if not alpha.is_singular():
             raise ValueError("dual principal cones are generated by singular maps")
-        ker = kernel(alpha)
-        vertex = RObject(ker)
-        components = {}
-        for obj in self.objects():
-            images = tuple(obj.partition.block_of(alpha(block[0])) for block in ker.blocks)
-            components[obj] = RMorphism(obj, vertex, BlockMap(ker, obj.partition, images))
-        return Cone(self, vertex, components)
+        vertex = kernel(alpha)
+        return Cone(self, vertex, {obj: r_canonical(obj, vertex, alpha) for obj in self.objects()})
 
 
 def phi_representation(

@@ -17,16 +17,19 @@ from typing import Callable
 from . import chain
 from .chain import BlockMap, OPMap, OrderedPartition, check_chain_size
 from .cones import (
+    Cone,
     check_functor_isomorphism,
     check_normal_category_axioms,
     cone_json,
     cone_semigroup,
     enumerate_normal_cones,
 )
-from .ideals import LCategory, RCategory, RObject, phi_representation
-from .partitions import PartitionCategory, PiMorphism, factorize_pi, functor_g, pi_compose
+from .ideals import LCategory, RCategory, RMorphism, phi_representation
+from .partitions import PartitionCategory, factorize_pi, functor_g
 from .powerset import PowersetCategory, cone_to_opmap, functor_f
 from .semigroups import (
+    AssociativityError,
+    ClosureError,
     ElementMap,
     FiniteSemigroup,
     build,
@@ -81,7 +84,7 @@ def tl_semigroup(n: int) -> FiniteSemigroup:
 @lru_cache(maxsize=None)
 def tpo_semigroup(n: int) -> FiniteSemigroup:
     cat = powerset_category(n)
-    return cone_semigroup(cat, [cat.cone_from_map(a) for a in chain.enumerate_oxn(n)])
+    return cone_semigroup(cat, [cat.principal_cone(a) for a in chain.enumerate_oxn(n)])
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +95,7 @@ def phi_into_tr(n: int) -> ElementMap:
 @lru_cache(maxsize=None)
 def tpi_semigroup(n: int) -> FiniteSemigroup:
     cat = partition_category(n)
-    distinct = dict.fromkeys(cat.cone_from_map(a) for a in chain.enumerate_oxn(n))
+    distinct = dict.fromkeys(cat.dual_principal_cone(a) for a in chain.enumerate_oxn(n))
     return cone_semigroup(cat, list(distinct))
 
 
@@ -211,21 +214,24 @@ def _gamma_oracle(eta: BlockMap) -> OrderedPartition:
     return OrderedPartition(eta.target.n, tuple(sizes))
 
 
-def _check_pi_factorization(cat: PartitionCategory, m: PiMorphism) -> dict | None:
+def _check_pi_factorization(cat: PartitionCategory, m: RMorphism) -> dict | None:
     q, u, v = factorize_pi(m)
-    sigma, gamma = v.source.partition, q.target.partition
-    if sigma != _sigma_oracle(m.eta):
-        return {"reason": "fiber coarsening disagrees with oracle", "morphism": str(m)}
-    if gamma != _gamma_oracle(m.eta):
-        return {"reason": "image absorption disagrees with oracle", "morphism": str(m)}
-    if pi_compose(pi_compose(q, u), v) != m:
-        return {"reason": "factorization does not recompose", "morphism": str(m)}
+
+    def fail(reason: str) -> dict:
+        return {"reason": reason, "morphism": cat.morphism_label(m)}
+
+    if v.source != _sigma_oracle(m.eta):
+        return fail("fiber coarsening disagrees with oracle")
+    if q.target != _gamma_oracle(m.eta):
+        return fail("image absorption disagrees with oracle")
+    if cat.compose(cat.compose(q, u), v) != m:
+        return fail("factorization does not recompose")
     if not cat.is_isomorphism(u):
-        return {"reason": "middle factor is not an isomorphism", "morphism": str(m)}
+        return fail("middle factor is not an isomorphism")
     if cat.compose(cat.inclusion(q.target, m.source), q) != cat.identity(q.target):
-        return {"reason": "first factor does not split its inclusion", "morphism": str(m)}
+        return fail("first factor does not split its inclusion")
     if v != cat.inclusion(v.source, v.target):
-        return {"reason": "last factor is not the designated inclusion", "morphism": str(m)}
+        return fail("last factor is not the designated inclusion")
     return None
 
 
@@ -310,9 +316,9 @@ def check_tpo_iso(n: int, seed: int = 0):
     ox = oxn_semigroup(n)
     tpo = tpo_semigroup(n)
     cat = powerset_category(n)
-    phi, hom_ok, bij_ok = _explicit_iso_check(ox, tpo, cat.cone_from_map)
+    phi, hom_ok, bij_ok = _explicit_iso_check(ox, tpo, cat.principal_cone)
     found = find_isomorphism(ox, tpo)
-    roundtrip = all(cone_to_opmap(cat.cone_from_map(a)) == a for a in ox.elements)
+    roundtrip = all(cone_to_opmap(cat.principal_cone(a)) == a for a in ox.elements)
     counts = {
         "cones": tpo.order,
         "explicit_homomorphism": int(hom_ok),
@@ -356,7 +362,7 @@ def _separator_witnesses_ok(n: int, phi: ElementMap) -> dict | None:
                 e = chain.separator_idempotent(x, n)
                 if chain.compose(a, e) == chain.compose(b, e):
                     return {"reason": "separator fails in the semigroup", "a": str(a), "b": str(b), "e": str(e)}
-                obj = RObject(chain.kernel(e))
+                obj = chain.kernel(e)
                 if phi.apply(a).component(obj) == phi.apply(b).component(obj):
                     return {"reason": "separator fails at the cone component", "a": str(a), "b": str(b), "e": str(e)}
     return None
@@ -443,6 +449,19 @@ CHECKS: dict[str, CheckDef] = {
 }
 
 
+def _build_error_elements(exc: Exception) -> dict:
+    """The elements a failed semigroup build names, cones as cone_json."""
+
+    def describe(x):
+        return cone_json(x) if isinstance(x, Cone) else str(x)
+
+    if isinstance(exc, ClosureError):
+        return {"left": describe(exc.left), "right": describe(exc.right), "product": describe(exc.product)}
+    if isinstance(exc, AssociativityError):
+        return {"triple": [describe(x) for x in exc.witness]}
+    return {}
+
+
 def run_check(name: str, n: int, seed: int = 0) -> CheckReport:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}, all")
@@ -455,7 +474,7 @@ def run_check(name: str, n: int, seed: int = 0) -> CheckReport:
         ok, counts, witness = d.fn(n, seed)
     except Exception as exc:  # surface as a failed report, never a crash
         ok, counts = False, {}
-        witness = {"exception": f"{type(exc).__name__}: {exc}"}
+        witness = {"exception": f"{type(exc).__name__}: {exc}", **_build_error_elements(exc)}
     elapsed = int((time.perf_counter() - start) * 1000)
     if not ok and witness is None:
         witness = {"reason": "check failed without detail"}

@@ -5,6 +5,7 @@ or a composed product."""
 import pytest
 
 from chaincat import verify
+from chaincat.cones import Cone, cone_json, cone_mul
 from chaincat.chain import (
     BlockMap,
     OPMap,
@@ -17,8 +18,6 @@ from chaincat.chain import (
 )
 from chaincat.ideals import (
     LCategory,
-    LMorphism,
-    LObject,
     RCategory,
     RMorphism,
     l_morphism_from_triple,
@@ -63,7 +62,7 @@ def test_left_hom_sets_are_literal_sandwich_sets(n):
     # column by column, so that row fills start from every position
     for b in objs:
         for a in objs:
-            e_a, e_b = idempotent_for_image(a.image), idempotent_for_image(b.image)
+            e_a, e_b = idempotent_for_image(a), idempotent_for_image(b)
             literal = dict.fromkeys(
                 l_morphism_from_triple(e_a, compose(compose(e_a, s), e_b), e_b) for s in enumerate_oxn(n)
             )
@@ -77,7 +76,7 @@ def test_right_hom_sets_are_literal_sandwich_sets(n):
     # row by row, so that column fills start from every position
     for a in objs:
         for b in objs:
-            e, f = idempotent_for_kernel(a.partition), idempotent_for_kernel(b.partition)
+            e, f = idempotent_for_kernel(a), idempotent_for_kernel(b)
             literal = dict.fromkeys(
                 r_morphism_from_triple(e, compose(compose(f, s), e), f) for s in enumerate_oxn(n)
             )
@@ -87,21 +86,6 @@ def test_right_hom_sets_are_literal_sandwich_sets(n):
 # ---------------------------------------------------------------------------
 # planted defects: each check must fail, with a witness, even though the
 # products behind it are memoized
-
-
-@pytest.fixture
-def fresh_builds():
-    """Empty verify's memoized builds before and after, so that the planted
-    defect reaches every structure and no damaged one outlives the test."""
-
-    def clear():
-        for value in vars(verify).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-    clear()
-    yield
-    clear()
 
 
 def _plant(monkeypatch, cls, attr, victim_args, damage):
@@ -130,16 +114,22 @@ def _assert_fails(name, n, hits):
 
 def test_tl_iso_fails_on_a_wrong_middle_factor(fresh_builds, monkeypatch):
     # the component of the cone of [1,3,3] at its own vertex {1,3}
-    obj = LObject(Subset(3, (1, 3)))
-    victim = LMorphism(obj, obj, SubMap.identity(obj.image))
+    obj = Subset(3, (1, 3))
+    victim = SubMap.identity(obj)
 
     def damage(factors):
         q, u, j = factors
-        constant = SubMap(u.source.image, u.target.image, (u.target.image.elements[0],) * len(u.source.image))
-        return q, LMorphism(u.source, u.target, constant), j
+        return q, SubMap(u.source, u.target, (u.target.elements[0],) * len(u.source)), j
 
     hits = _plant(monkeypatch, LCategory, "normal_factorize", (victim,), damage)
-    _assert_fails("TL-iso", 3, hits)
+    report = _assert_fails("TL-iso", 3, hits)
+    # the square of the cone of [1,1,3] passes through the victim and
+    # escapes as the cone whose every component is constant at 1
+    cat = LCategory(3)
+    square = cone_json(cat.principal_cone(OPMap((1, 1, 3))))
+    escaped = Cone(cat, obj, {a: SubMap(a, obj, (1,) * len(a)) for a in cat.objects()})
+    assert report.witness["left"] == report.witness["right"] == square
+    assert report.witness["product"] == cone_json(escaped)
 
 
 def test_tl_iso_fails_on_a_product_inside_the_cone_set(fresh_builds, monkeypatch):
@@ -148,14 +138,16 @@ def test_tl_iso_fails_on_a_product_inside_the_cone_set(fresh_builds, monkeypatch
     # table entry that is still a principal cone, so closure holds and a
     # later check must catch it
     cat = LCategory(3)
-    obj = LObject(Subset(3, (1, 3)))
+    obj = Subset(3, (1, 3))
     victim = cat.identity(obj)
-    constant = LMorphism(obj, obj, SubMap(obj.image, obj.image, (3, 3)))
+    constant = SubMap(obj, obj, (3, 3))
     wrong = cat.normal_factorize(constant)
 
     hits = _plant(monkeypatch, LCategory, "normal_factorize", (victim,), lambda _: wrong)
     report = _assert_fails("TL-iso", 3, hits)
     assert "ClosureError" not in str(report.witness)
+    triple = [cone_json(cat.principal_cone(OPMap(v))) for v in ((1, 1, 1), (1, 1, 3), (1, 1, 3))]
+    assert report.witness["triple"] == triple
 
 
 def test_phi_faithful_fails_on_a_wrong_middle_factor(fresh_builds, monkeypatch):
@@ -169,23 +161,33 @@ def test_phi_faithful_fails_on_a_wrong_middle_factor(fresh_builds, monkeypatch):
     def damage(factors):
         q, u, v = factors
         eta = u.eta
-        return q, RMorphism(u.source, u.target, BlockMap(eta.source, eta.target, (0,) * eta.source.num_blocks)), v
+        return q, RMorphism(BlockMap(eta.source, eta.target, (0,) * eta.source.num_blocks)), v
 
     hits = _plant(monkeypatch, RCategory, "normal_factorize", (victim,), damage)
-    _assert_fails("phi-faithful", 3, hits)
+    report = _assert_fails("phi-faithful", 3, hits)
+    # the square of the cone escapes as one sending both vertex blocks to
+    # the first block everywhere
+    escaped = Cone(cat, cone.vertex, {a: RMorphism(BlockMap(cone.vertex, a, (0, 0))) for a in cat.objects()})
+    assert report.witness["left"] == report.witness["right"] == cone_json(cone)
+    assert report.witness["product"] == cone_json(escaped)
 
 
 def test_cone_regular_fails_on_one_wrong_product(fresh_builds, monkeypatch):
     # [1,1,2] at {1,3}, composed with the epimorphic part (the identity on
     # {1,2}) of the [1,2,2] cone's component at {1,2}
     cat = PowersetCategory(3)
-    gamma = cat.cone_from_map(OPMap((1, 1, 2)))
-    sigma = cat.cone_from_map(OPMap((1, 2, 2)))
+    gamma = cat.principal_cone(OPMap((1, 1, 2)))
+    sigma = cat.principal_cone(OPMap((1, 2, 2)))
     q, u, _ = cat.normal_factorize(sigma.component(gamma.vertex))
     epi = cat.compose(q, u)
     g = gamma.component(Subset(3, (1, 3)))
     right = cat.compose(g, epi)
     wrong = next(m for m in cat.hom(g.source, epi.target) if m != right)
+    escaped = dict(cone_mul(gamma, sigma).components)
+    escaped[g.source] = wrong
 
     hits = _plant(monkeypatch, PowersetCategory, "compose", (g, epi), lambda _: wrong)
-    _assert_fails("cone-regular", 3, hits)
+    report = _assert_fails("cone-regular", 3, hits)
+    assert report.witness["left"] == cone_json(gamma)
+    assert report.witness["right"] == cone_json(sigma)
+    assert report.witness["product"] == cone_json(Cone(cat, epi.target, escaped))

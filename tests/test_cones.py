@@ -12,6 +12,7 @@ from chaincat.cones import (
     validate_cone,
 )
 from chaincat.ideals import LCategory, RCategory
+from chaincat.powerset import cone_to_opmap
 from chaincat.semigroups import ClosureError, is_regular
 from chaincat.verify import left_category, powerset_category
 
@@ -38,7 +39,7 @@ class TestValidate:
 
     def test_overwritten_component_fails(self, lcat3):
         cone = lcat3.principal_cone(OPMap((1, 1, 2)))
-        obj = next(o for o in lcat3.objects() if o.image.elements == (1, 3))
+        obj = next(o for o in lcat3.objects() if o.elements == (1, 3))
         bad = dict(cone.components)
         # a genuine morphism into the vertex that does not restrict correctly
         bad[obj] = next(m for m in lcat3.hom(obj, cone.vertex) if m != cone.components[obj])
@@ -55,7 +56,7 @@ class TestImmutability:
         c = lcat3.principal_cone(OPMap((1, 1, 2)))
         d = lcat3.principal_cone(OPMap((1, 1, 2)))
         cones = {c}
-        obj = next(o for o in lcat3.objects() if o.image.elements == (1, 3))
+        obj = next(o for o in lcat3.objects() if o.elements == (1, 3))
         other = next(m for m in lcat3.hom(obj, c.vertex) if m != c.component(obj))
         with pytest.raises(TypeError):
             c.components[obj] = other
@@ -78,6 +79,17 @@ class TestImmutability:
             assert dict(x.components) == dict(y.components)
         assert len(set(ours) | set(theirs)) == len(set(ours))
 
+    def test_unequal_across_category_classes(self, lcat3, pocat3):
+        # the same components over the same objects, but only the powerset
+        # cone reads back as a map
+        for a in enumerate_oxn(3):
+            ours, theirs = lcat3.principal_cone(a), pocat3.principal_cone(a)
+            assert dict(ours.components) == dict(theirs.components)
+            assert ours != theirs and theirs != ours
+            assert cone_to_opmap(theirs) == a
+            with pytest.raises(ValueError):
+                cone_to_opmap(ours)
+
     def test_incomplete_mapping_is_kept_and_invalid(self, lcat3):
         cone = lcat3.principal_cone(OPMap((1, 1, 2)))
         partial = dict(cone.components)
@@ -92,19 +104,19 @@ class TestImmutability:
     def test_non_object_rejected(self, lcat3, pocat3):
         cone = lcat3.principal_cone(OPMap((1, 1, 2)))
         with pytest.raises(ValueError):
-            Cone(lcat3, cone.vertex.image, {})
+            Cone(lcat3, Subset.full(3), {})
         with pytest.raises(ValueError):
-            Cone(lcat3, cone.vertex, {pocat3.objects()[0]: cone.component(cone.vertex)})
+            Cone(lcat3, cone.vertex, {RCategory(3).objects()[0]: cone.component(cone.vertex)})
 
 
 class TestMSet:
     def test_kernel_cross_sections(self, lcat3):
         ms = mset(lcat3.principal_cone(OPMap((1, 1, 2))))
-        assert {obj.image.elements for obj in ms} == {(1, 3), (2, 3)}
+        assert {obj.elements for obj in ms} == {(1, 3), (2, 3)}
 
     def test_constant_map_gives_singletons(self, lcat3):
         ms = mset(lcat3.principal_cone(OPMap((2, 2, 2))))
-        assert {obj.image.elements for obj in ms} == {(1,), (2,), (3,)}
+        assert {obj.elements for obj in ms} == {(1,), (2,), (3,)}
 
     def test_normal_iff_mset_nonempty(self, lcat3):
         for a in enumerate_oxn(3):
@@ -148,7 +160,7 @@ class TestConeMul:
     def test_different_categories_rejected(self, lcat3, pocat3):
         a = OPMap((1, 1, 2))
         with pytest.raises(ValueError):
-            cone_mul(lcat3.principal_cone(a), pocat3.cone_from_map(a))
+            cone_mul(lcat3.principal_cone(a), pocat3.principal_cone(a))
 
 
 class TestConeSemigroup:
@@ -181,7 +193,7 @@ class TestEnumeration:
         found = enumerate_normal_cones(pocat3, v)
         expected = [a for a in enumerate_oxn(3) if image(a) == v]
         assert len(found) == len(expected) == 2
-        assert set(found) == {pocat3.cone_from_map(a) for a in expected}
+        assert set(found) == {pocat3.principal_cone(a) for a in expected}
 
     def test_left_category_total(self, lcat3):
         total = []
@@ -195,7 +207,7 @@ class TestEnumeration:
         for v in pocat3.objects():
             total.extend(enumerate_normal_cones(pocat3, v))
         assert len(total) == 9
-        assert set(total) == {pocat3.cone_from_map(a) for a in enumerate_oxn(3)}
+        assert set(total) == {pocat3.principal_cone(a) for a in enumerate_oxn(3)}
 
 
 def test_cone_json_shape(lcat3):

@@ -15,13 +15,7 @@ from chaincat.chain import (
 )
 from chaincat.cones import cone_mul, mset, validate_cone
 from chaincat.ideals import (
-    LMorphism,
-    LObject,
-    RMorphism,
-    RObject,
-    l_compose,
     l_morphism_from_triple,
-    l_normal_factorize,
     r_compose,
     r_morphism_from_triple,
 )
@@ -46,9 +40,9 @@ class TestLMorphismFromTriple:
     def test_frozen_example(self):
         # the natural representative of this class is e_a*u = [2,3,3]
         m = l_morphism_from_triple(OPMap((1, 3, 3)), OPMap((2, 3, 3)), OPMap((2, 2, 3)))
-        assert m.source.image.elements == (1, 3)
-        assert m.target.image.elements == (2, 3)
-        assert m.action.values == (2, 3)
+        assert m.source.elements == (1, 3)
+        assert m.target.elements == (2, 3)
+        assert m.values == (2, 3)
 
     def test_sandwich_membership_enforced(self):
         # [2,2,3] itself satisfies e_a*u != u, so the triple is rejected
@@ -58,11 +52,11 @@ class TestLMorphismFromTriple:
     def test_identity_triple(self):
         e = OPMap((1, 3, 3))
         m = l_morphism_from_triple(e, e, e)
-        assert m.source == m.target and m.action.is_identity()
+        assert m.source == m.target and m.is_identity()
 
     def test_constant_triple(self):
         m = l_morphism_from_triple(OPMap((1, 3, 3)), OPMap((2, 2, 2)), OPMap((2, 2, 2)))
-        assert m.action.values == (2, 2)
+        assert m.values == (2, 2)
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValueError, match="idempotent"):
@@ -104,70 +98,50 @@ class TestLMorphismFromTriple:
 
 class TestLCompose:
     def test_frozen_example(self):
-        m1 = LMorphism(
-            LObject(sub(3, 1, 3)), LObject(sub(3, 2, 3)),
-            SubMap(sub(3, 1, 3), sub(3, 2, 3), (2, 3)),
-        )
-        m2 = LMorphism(
-            LObject(sub(3, 2, 3)), LObject(sub(3, 1, 2)),
-            SubMap(sub(3, 2, 3), sub(3, 1, 2), (1, 2)),
-        )
-        assert l_compose(m1, m2).action.values == (1, 2)
+        m1 = SubMap(sub(3, 1, 3), sub(3, 2, 3), (2, 3))
+        m2 = SubMap(sub(3, 2, 3), sub(3, 1, 2), (1, 2))
+        assert left_category(3).compose(m1, m2).values == (1, 2)
 
     def test_identity_neutral(self):
         cat = left_category(3)
         for a in cat.objects():
             for b in cat.objects():
                 for m in cat.hom(a, b):
-                    assert l_compose(cat.identity(a), m) == m
-                    assert l_compose(m, cat.identity(b)) == m
+                    assert cat.compose(cat.identity(a), m) == m
+                    assert cat.compose(m, cat.identity(b)) == m
 
     def test_inclusion_then_map(self):
-        incl = LMorphism(
-            LObject(sub(3, 1)), LObject(sub(3, 1, 3)),
-            SubMap.inclusion(sub(3, 1), sub(3, 1, 3)),
-        )
-        m = LMorphism(
-            LObject(sub(3, 1, 3)), LObject(sub(3, 2, 3)),
-            SubMap(sub(3, 1, 3), sub(3, 2, 3), (2, 3)),
-        )
-        assert l_compose(incl, m).action.values == (2,)
+        incl = SubMap.inclusion(sub(3, 1), sub(3, 1, 3))
+        m = SubMap(sub(3, 1, 3), sub(3, 2, 3), (2, 3))
+        assert left_category(3).compose(incl, m).values == (2,)
 
     def test_mismatch_rejected(self):
         cat = left_category(3)
         a, b = cat.objects()[0], cat.objects()[1]
         with pytest.raises(ValueError):
-            l_compose(cat.hom(a, b)[0], cat.hom(a, b)[0])
+            cat.compose(cat.hom(a, b)[0], cat.hom(a, b)[0])
 
 
 class TestLNormalFactorize:
     def test_frozen_example(self):
-        m = LMorphism(
-            LObject(sub(4, 1, 2, 4)), LObject(sub(4, 1, 3, 4)),
-            SubMap(sub(4, 1, 2, 4), sub(4, 1, 3, 4), (3, 3, 4)),
-        )
-        q, u, j = l_normal_factorize(m)
-        assert q.target.image.elements == (1, 4)
-        assert q.action.values == (1, 1, 4)
-        assert u.action.values == (3, 4)
-        assert j.action.is_identity() is False and j.action.values == (3, 4)
-        assert l_compose(l_compose(q, u), j) == m
+        cat = left_category(4)
+        m = SubMap(sub(4, 1, 2, 4), sub(4, 1, 3, 4), (3, 3, 4))
+        q, u, j = cat.normal_factorize(m)
+        assert q.target.elements == (1, 4)
+        assert q.values == (1, 1, 4)
+        assert u.values == (3, 4)
+        assert j.is_identity() is False and j.values == (3, 4)
+        assert cat.compose(cat.compose(q, u), j) == m
 
     def test_iso_case(self):
-        m = LMorphism(
-            LObject(sub(3, 1, 2)), LObject(sub(3, 1, 3)),
-            SubMap(sub(3, 1, 2), sub(3, 1, 3), (1, 3)),
-        )
-        q, u, j = l_normal_factorize(m)
-        assert q.action.is_identity() and j.action.is_identity() and u == m
+        m = SubMap(sub(3, 1, 2), sub(3, 1, 3), (1, 3))
+        q, u, j = left_category(3).normal_factorize(m)
+        assert q.is_identity() and j.is_identity() and u == m
 
     def test_constant_case(self):
-        m = LMorphism(
-            LObject(sub(3, 1, 2)), LObject(sub(3, 2)),
-            SubMap(sub(3, 1, 2), sub(3, 2), (2, 2)),
-        )
-        q, u, j = l_normal_factorize(m)
-        assert len(u.source.image) == len(u.target.image) == 1
+        m = SubMap(sub(3, 1, 2), sub(3, 2), (2, 2))
+        q, u, j = left_category(3).normal_factorize(m)
+        assert len(u.source) == len(u.target) == 1
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_all_morphisms_recompose(self, n):
@@ -175,11 +149,11 @@ class TestLNormalFactorize:
         for a in cat.objects():
             for b in cat.objects():
                 for m in cat.hom(a, b):
-                    q, u, j = l_normal_factorize(m)
-                    assert l_compose(l_compose(q, u), j) == m
-                    assert u.action.is_bijective()
+                    q, u, j = cat.normal_factorize(m)
+                    assert cat.compose(cat.compose(q, u), j) == m
+                    assert u.is_bijective()
                     assert j == cat.inclusion(j.source, j.target)
-                    assert l_compose(cat.inclusion(q.target, a), q) == cat.identity(q.target)
+                    assert cat.compose(cat.inclusion(q.target, a), q) == cat.identity(q.target)
 
     def test_matches_sandwich_triple_form(self):
         """The three factors agree with the canonical triples built from the
@@ -190,16 +164,16 @@ class TestLNormalFactorize:
         cat = left_category(n)
         for a in cat.objects():
             for b in cat.objects():
-                e_a = idempotent_for_image(a.image)
-                e_b = idempotent_for_image(b.image)
+                e_a = idempotent_for_image(a)
+                e_b = idempotent_for_image(b)
                 for m in cat.hom(a, b):
-                    q, u, j = l_normal_factorize(m)
-                    u_hat = extend_by_idempotent(m.action)
+                    q, u, j = cat.normal_factorize(m)
+                    u_hat = extend_by_idempotent(m)
                     fiber_min = {}
-                    for y in a.image.elements:
-                        fiber_min.setdefault(m.action(y), y)
+                    for y in a.elements:
+                        fiber_min.setdefault(m(y), y)
                     g = OPMap(tuple(fiber_min[u_hat(x)] for x in range(1, n + 1)))
-                    h = idempotent_for_image(u.target.image)
+                    h = idempotent_for_image(u.target)
                     assert g.is_idempotent()
                     assert l_morphism_from_triple(e_a, g, g) == q
                     assert l_morphism_from_triple(g, compose(g, u_hat), h) == u
@@ -210,22 +184,22 @@ class TestPrincipalCone:
     def test_frozen_components(self):
         cat = left_category(3)
         c = cat.principal_cone(OPMap((1, 1, 2)))
-        assert c.vertex.image.elements == (1, 2)
-        at_3 = c.components[LObject(sub(3, 3))]
-        assert at_3.action.values == (2,)
-        at_13 = c.components[LObject(sub(3, 1, 3))]
-        assert at_13.action.values == (1, 2)
+        assert c.vertex.elements == (1, 2)
+        at_3 = c.components[sub(3, 3)]
+        assert at_3.values == (2,)
+        at_13 = c.components[sub(3, 1, 3)]
+        assert at_13.values == (1, 2)
 
     def test_idempotent_gives_idempotent_cone(self):
         cat = left_category(3)
         c = cat.principal_cone(OPMap((1, 1, 3)))
-        assert c.components[c.vertex].action.is_identity()
+        assert c.components[c.vertex].is_identity()
         assert cone_mul(c, c) == c
 
     def test_constant_map(self):
         cat = left_category(3)
         c = cat.principal_cone(OPMap((2, 2, 2)))
-        assert all(m.action.values == (2,) * len(m.source.image) for m in c.components.values())
+        assert all(m.values == (2,) * len(m.source) for m in c.components.values())
 
     def test_identity_map_rejected(self):
         with pytest.raises(ValueError):
@@ -237,7 +211,7 @@ class TestPrincipalCone:
         for alpha in enumerate_oxn(n):
             ms = mset(cat.principal_cone(alpha))
             expected = {
-                LObject(image(e))
+                image(e)
                 for e in enumerate_oxn(n)
                 if e.is_idempotent() and kernel(e) == kernel(alpha)
             }
@@ -250,8 +224,8 @@ class TestRMorphisms:
         v = compose(compose(f, OPMap((1, 3, 3))), e)
         assert v.images == (1, 3, 3)
         m = r_morphism_from_triple(e, v, f)
-        assert m.source.partition.block_sizes == (2, 1)
-        assert m.target.partition.block_sizes == (1, 2)
+        assert m.source.block_sizes == (2, 1)
+        assert m.target.block_sizes == (1, 2)
         assert m.eta.images == (0, 1)
 
     def test_identity_triple(self):
@@ -305,7 +279,7 @@ class TestRMorphisms:
 
         for a in cat.objects():
             for b in cat.objects():
-                e, f = max_rep_idempotent(a.partition), max_rep_idempotent(b.partition)
+                e, f = max_rep_idempotent(a), max_rep_idempotent(b)
                 assert e.is_idempotent() and f.is_idempotent()
                 alt = {
                     r_morphism_from_triple(e, compose(compose(f, s), e), f)
@@ -318,7 +292,7 @@ class TestDualPrincipalCone:
     def test_frozen_vertex(self):
         cat = right_category(3)
         c = cat.dual_principal_cone(OPMap((1, 1, 2)))
-        assert c.vertex.partition.block_sizes == (2, 1)
+        assert c.vertex.block_sizes == (2, 1)
 
     def test_idempotent_gives_idempotent_cone(self):
         cat = right_category(3)
@@ -329,7 +303,7 @@ class TestDualPrincipalCone:
     def test_constant_map(self):
         cat = right_category(3)
         c = cat.dual_principal_cone(OPMap((2, 2, 2)))
-        assert c.vertex.partition.block_sizes == (3,)
+        assert c.vertex.block_sizes == (3,)
         for m in c.components.values():
             assert len(set(m.eta.images)) == 1
 
@@ -349,7 +323,7 @@ class TestDualPrincipalCone:
             f = idempotent_for_kernel(kernel(alpha))
             c = cat.dual_principal_cone(alpha)
             for obj, m in c.components.items():
-                e = idempotent_for_kernel(obj.partition)
+                e = idempotent_for_kernel(obj)
                 assert m == r_morphism_from_triple(e, compose(alpha, e), f)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -397,6 +371,6 @@ class TestPhiRepresentation:
         cat = right_category(3)
         a, b = OPMap((1, 1, 2)), OPMap((1, 1, 3))
         e = OPMap((2, 2, 3))
-        obj = RObject(kernel(e))
+        obj = kernel(e)
         ca, cb = cat.dual_principal_cone(a), cat.dual_principal_cone(b)
         assert ca.components[obj] != cb.components[obj]

@@ -15,16 +15,12 @@ from chaincat.cones import (
     mset,
     validate_cone,
 )
+from chaincat.ideals import RMorphism
 from chaincat.partitions import (
     BarElement,
-    PiMorphism,
-    PiObject,
     bar_elements,
     factorize_pi,
     functor_g,
-    pi_compose,
-    pi_inclusion_and_retraction,
-    pi_leq,
     precompose,
 )
 from chaincat.semigroups import find_isomorphism, is_regular, opposite
@@ -32,11 +28,11 @@ from chaincat.verify import oxn_semigroup, partition_category, right_category
 
 
 def pobj(n, *sizes):
-    return PiObject(OrderedPartition(n, sizes))
+    return OrderedPartition(n, sizes)
 
 
 def morphism(p, q, *images):
-    return PiMorphism(p, q, BlockMap(q.partition, p.partition, images))
+    return RMorphism(BlockMap(q, p, images))
 
 
 class TestPiCompose:
@@ -44,7 +40,7 @@ class TestPiCompose:
         p1, p2, p3 = pobj(4, 1, 1, 2), pobj(4, 2, 2), pobj(4, 4)
         m1 = morphism(p1, p2, 0, 2)
         m2 = morphism(p2, p3, 1)
-        out = pi_compose(m1, m2)
+        out = partition_category(4).compose(m1, m2)
         assert out.source == p1 and out.target == p3
         assert out.eta == m2.eta.then(m1.eta)
         assert out.eta.images == (2,)
@@ -54,50 +50,54 @@ class TestPiCompose:
         for a in cat.objects():
             for b in cat.objects():
                 for m in cat.hom(a, b):
-                    assert pi_compose(cat.identity(a), m) == m
-                    assert pi_compose(m, cat.identity(b)) == m
+                    assert cat.compose(cat.identity(a), m) == m
+                    assert cat.compose(m, cat.identity(b)) == m
 
     def test_constants_compose_to_constant(self):
         p1, p2, p3 = pobj(4, 1, 1, 2), pobj(4, 2, 2), pobj(4, 4)
         m1 = morphism(p1, p2, 0, 0)
         m2 = morphism(p2, p3, 0)
-        assert pi_compose(m1, m2).eta.images == (0,)
+        assert partition_category(4).compose(m1, m2).eta.images == (0,)
 
     def test_mismatch_rejected(self):
         p1, p2 = pobj(4, 1, 1, 2), pobj(4, 2, 2)
         m = morphism(p1, p2, 0, 2)
         with pytest.raises(ValueError):
-            pi_compose(m, m)
+            partition_category(4).compose(m, m)
 
 
 class TestPiOrder:
     def test_refinement_examples(self):
-        assert pi_leq(pobj(4, 4), pobj(4, 2, 2))
-        assert pi_leq(pobj(4, 2, 2), pobj(4, 2, 2))
-        assert not pi_leq(pobj(4, 1, 3), pobj(4, 3, 1))
-        assert not pi_leq(pobj(4, 3, 1), pobj(4, 1, 3))
+        cat = partition_category(4)
+        assert cat.leq(pobj(4, 4), pobj(4, 2, 2))
+        assert cat.leq(pobj(4, 2, 2), pobj(4, 2, 2))
+        assert not cat.leq(pobj(4, 1, 3), pobj(4, 3, 1))
+        assert not cat.leq(pobj(4, 3, 1), pobj(4, 1, 3))
 
     def test_inclusion_and_retraction_frozen(self):
+        cat = partition_category(4)
         p, q = pobj(4, 4), pobj(4, 2, 2)
-        incl, retr = pi_inclusion_and_retraction(p, q)
+        incl, retr = cat.inclusion(p, q), cat.retraction(p, q)
         assert incl.eta.images == (0, 0)
         assert retr.eta.images == (0,)
-        assert pi_compose(incl, retr) == PiMorphism(p, p, BlockMap.identity(p.partition))
+        assert cat.compose(incl, retr) == RMorphism(BlockMap.identity(p))
 
     def test_min_block_rule(self):
+        cat = partition_category(4)
         p, q = pobj(4, 2, 2), pobj(4, 1, 1, 2)
-        incl, retr = pi_inclusion_and_retraction(p, q)
+        incl, retr = cat.inclusion(p, q), cat.retraction(p, q)
         assert incl.eta.images == (0, 0, 1)
         assert retr.eta.images == (0, 2)
 
     def test_equal_objects_give_identities(self):
+        cat = partition_category(4)
         p = pobj(4, 2, 2)
-        incl, retr = pi_inclusion_and_retraction(p, p)
+        incl, retr = cat.inclusion(p, p), cat.retraction(p, p)
         assert incl.eta.is_identity() and retr.eta.is_identity()
 
     def test_not_below_rejected(self):
         with pytest.raises(ValueError):
-            pi_inclusion_and_retraction(pobj(4, 2, 2), pobj(4, 4))
+            partition_category(4).inclusion(pobj(4, 2, 2), pobj(4, 4))
 
 
 class TestFactorizePi:
@@ -105,22 +105,23 @@ class TestFactorizePi:
         p1, p2 = pobj(4, 1, 1, 2), pobj(4, 2, 2)
         m = morphism(p1, p2, 0, 2)
         q, u, v = factorize_pi(m)
-        assert q.target.partition.block_sizes == (1, 3)
-        assert v.source.partition.block_sizes == (2, 2)
+        assert q.target.block_sizes == (1, 3)
+        assert v.source.block_sizes == (2, 2)
         assert q.eta.images == (0, 2)
         assert u.eta.is_bijective()
-        assert pi_compose(pi_compose(q, u), v) == m
+        cat = partition_category(4)
+        assert cat.compose(cat.compose(q, u), v) == m
 
     def test_constant_absorbs_everything(self):
         p1, p2 = pobj(4, 1, 1, 2), pobj(4, 2, 2)
         m = morphism(p1, p2, 0, 0)
         q, u, v = factorize_pi(m)
-        assert q.target.partition.block_sizes == (4,)
-        assert v.source.partition.block_sizes == (4,)
+        assert q.target.block_sizes == (4,)
+        assert v.source.block_sizes == (4,)
 
     def test_identity_factors_trivially(self):
         p = pobj(4, 2, 2)
-        m = PiMorphism(p, p, BlockMap.identity(p.partition))
+        m = RMorphism(BlockMap.identity(p))
         q, u, v = factorize_pi(m)
         assert q.eta.is_identity() and v.eta.is_identity() and u.eta.is_identity()
 
@@ -131,13 +132,13 @@ class TestFactorizePi:
             for b in cat.objects():
                 for m in cat.hom(a, b):
                     q, u, v = factorize_pi(m)
-                    assert pi_compose(pi_compose(q, u), v) == m
+                    assert cat.compose(cat.compose(q, u), v) == m
                     assert u.eta.is_bijective()
                     assert v == cat.inclusion(v.source, v.target)
-                    assert pi_compose(cat.inclusion(q.target, a), q) == cat.identity(q.target)
+                    assert cat.compose(cat.inclusion(q.target, a), q) == cat.identity(q.target)
                     # coarsenings are valid interval partitions by construction
-                    assert sum(q.target.partition.block_sizes) == n
-                    assert sum(v.source.partition.block_sizes) == n
+                    assert sum(q.target.block_sizes) == n
+                    assert sum(v.source.block_sizes) == n
 
 
 class TestExtensionality:
@@ -145,7 +146,7 @@ class TestExtensionality:
     def test_distinct_morphisms_act_differently(self, n):
         cat = partition_category(n)
         for a in cat.objects():
-            elements = bar_elements(a.partition)
+            elements = bar_elements(a)
             for b in cat.objects():
                 homs = cat.hom(a, b)
                 for i, m1 in enumerate(homs):
@@ -155,14 +156,14 @@ class TestExtensionality:
     def test_precompose_frozen(self):
         p, q = pobj(3, 2, 1), pobj(3, 3)
         m = morphism(p, q, 1)
-        x = BarElement(p.partition, (1, 3))
+        x = BarElement(p, (1, 3))
         assert precompose(m, x).values == (3,)
 
     def test_precompose_wrong_source(self):
         p, q = pobj(3, 2, 1), pobj(3, 3)
         m = morphism(p, q, 0)
         with pytest.raises(ValueError):
-            precompose(m, BarElement(q.partition, (2,)))
+            precompose(m, BarElement(q, (2,)))
 
     def test_bar_element_counts(self):
         from math import comb
@@ -215,7 +216,7 @@ class TestIdempotentPiCone:
         cat = partition_category(n)
         for vertex in cat.objects():
             for u in enumerate_oxn(n):
-                if u.is_idempotent() and kernel(u) == vertex.partition:
+                if u.is_idempotent() and kernel(u) == vertex:
                     c = cat.idempotent_pi_cone(vertex, u)
                     assert validate_cone(c) and mset(c)
                     assert c.components[vertex].eta.is_identity()
@@ -231,7 +232,7 @@ class TestFunctorG:
     def test_object_mapping_frozen(self):
         G = functor_g(3)
         e = OPMap((1, 1, 3))
-        src_obj = next(o for o in G.source.objects() if o.partition == kernel(e))
+        src_obj = next(o for o in G.source.objects() if o == kernel(e))
         assert G.apply_object(src_obj) == pobj(3, 2, 1)
 
     def test_identity_preserved(self):
@@ -259,7 +260,7 @@ class TestTransportedImage:
         G = functor_g(n, source=rcat, target=picat)
         for alpha in enumerate_oxn(n):
             dual = rcat.dual_principal_cone(alpha)
-            transported = picat.cone_from_map(alpha)
+            transported = picat.dual_principal_cone(alpha)
             assert transported.vertex == G.apply_object(dual.vertex)
             for obj, m in dual.components.items():
                 assert transported.components[G.apply_object(obj)] == G.apply(m)
@@ -267,7 +268,7 @@ class TestTransportedImage:
     @pytest.mark.parametrize("n", [3, 4])
     def test_closed_subsemigroup_opposite_copy(self, n):
         picat = partition_category(n)
-        cones = [picat.cone_from_map(a) for a in enumerate_oxn(n)]
+        cones = [picat.dual_principal_cone(a) for a in enumerate_oxn(n)]
         assert len(set(cones)) == len(cones)
         tpi = cone_semigroup(picat, cones)
         assert is_regular(tpi)
@@ -303,23 +304,20 @@ class TestFullRightConeSemigroups:
         blocks at the two finer objects, which no single map can induce."""
         from chaincat.chain import BlockMap, OrderedPartition
         from chaincat.cones import Cone, mset, validate_cone
-        from chaincat.ideals import RMorphism, RObject
         from chaincat.verify import right_category
 
         rcat = right_category(3)
-        vertex = RObject(OrderedPartition(3, (3,)))
+        vertex = OrderedPartition(3, (3,))
         components = {}
         for obj in rcat.objects():
-            sizes = obj.partition.block_sizes
+            sizes = obj.block_sizes
             if sizes == (1, 2):
                 images = (0,)
             elif sizes == (2, 1):
                 images = (1,)
             else:
                 images = (0,)
-            components[obj] = RMorphism(
-                obj, vertex, BlockMap(vertex.partition, obj.partition, images)
-            )
+            components[obj] = RMorphism(BlockMap(vertex, obj, images))
         cone = Cone(rcat, vertex, components)
         assert validate_cone(cone) and mset(cone)
         assert all(cone != rcat.dual_principal_cone(a) for a in enumerate_oxn(3))

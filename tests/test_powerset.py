@@ -93,13 +93,13 @@ class TestConeToOPMap:
         cat = powerset_category(3)
         a = OPMap((1, 2, 2))
         assert cone_to_opmap(cat.vertex_cone(sub(3, 1, 2), a)) == a
-        assert cone_to_opmap(cat.cone_from_map(OPMap((2, 2, 3)))) == OPMap((2, 2, 3))
+        assert cone_to_opmap(cat.principal_cone(OPMap((2, 2, 3)))) == OPMap((2, 2, 3))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_roundtrip(self, n):
         cat = powerset_category(n)
         for a in enumerate_oxn(n):
-            assert cone_to_opmap(cat.cone_from_map(a)) == a
+            assert cone_to_opmap(cat.principal_cone(a)) == a
 
     def test_non_normal_rejected(self):
         cat = powerset_category(3)
@@ -158,9 +158,9 @@ def test_all_normal_cones_come_from_maps(n):
     for v in cat.objects():
         total.extend(enumerate_normal_cones(cat, v))
     assert len(total) == len(enumerate_oxn(n))
-    assert set(total) == {cat.cone_from_map(a) for a in enumerate_oxn(n)}
+    assert set(total) == {cat.principal_cone(a) for a in enumerate_oxn(n)}
 
 
-def test_cone_from_map_requires_singular():
+def test_principal_cone_requires_singular():
     with pytest.raises(ValueError):
-        powerset_category(3).cone_from_map(OPMap.identity(3))
+        powerset_category(3).principal_cone(OPMap.identity(3))

@@ -83,7 +83,7 @@ class TestFaultInjection:
         def corrupt(cones):
             from chaincat.cones import Cone
 
-            victim = max(cones, key=lambda c: len(c.vertex.image))
+            victim = max(cones, key=lambda c: len(c.vertex))
             bad = dict(victim.components)
             target = next(
                 obj for obj in victim.components if len(cat.hom(obj, victim.vertex)) > 1
