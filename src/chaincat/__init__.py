@@ -19,7 +19,7 @@ from .chain import (
     retraction_for_inclusion,
     separator_idempotent,
 )
-from .cones import Cone, Functor, cone_mul, cone_semigroup, enumerate_normal_cones, is_normal, mset, validate_cone
+from .cones import Cone, cone_mul, cone_semigroup, enumerate_normal_cones, is_normal, mset, validate_cone
 from .ideals import (
     LCategory,
     RCategory,
@@ -30,8 +30,8 @@ from .ideals import (
     r_compose,
     r_morphism_from_triple,
 )
-from .partitions import BarElement, PartitionCategory, functor_g
-from .powerset import PowersetCategory, cone_to_opmap, functor_f
+from .partitions import BarElement, PartitionCategory
+from .powerset import PowersetCategory, cone_to_opmap
 from .semigroups import (
     ElementMap,
     FiniteSemigroup,

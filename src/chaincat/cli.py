@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, help="chain size (3..12; per-check ranges are tighter)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", metavar="PATH", help="write output to this file as well")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
+    parser.add_argument("--seed", type=int, default=0, help="accepted for compatibility; has no effect")
     parser.add_argument("--list", action="store_true", help="list registered checks and exit")
     args = parser.parse_args(argv)
 
@@ -74,9 +74,9 @@ def main(argv=None) -> int:
 
     try:
         if args.check == "all":
-            reports = run_all(args.n, seed=args.seed)
+            reports = run_all(args.n)
         else:
-            reports = [run_check(args.check, args.n, seed=args.seed)]
+            reports = [run_check(args.check, args.n)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,8 @@ hashing, equality and products work on small ints.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .semigroups import FiniteSemigroup, build
 
@@ -313,7 +312,7 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     return Cone._coded(cat, vertex, at, table, tuple(codes))
 
 
-def cone_semigroup(category: FiniteCategory, cones, seed: int = 0) -> FiniteSemigroup:
+def cone_semigroup(category: FiniteCategory, cones) -> FiniteSemigroup:
     """The semigroup of the given normal cones under cone multiplication.
 
     Every input cone is validated, and closure failures surface the escaping
@@ -324,7 +323,7 @@ def cone_semigroup(category: FiniteCategory, cones, seed: int = 0) -> FiniteSemi
         if not validate_cone(c) or not _mset_unchecked(c):
             raise ValueError(f"input {c!r} is not a normal cone")
     memo = _Products()
-    return build(cones, lambda gamma, sigma: cone_mul(gamma, sigma, memo), seed=seed)
+    return build(cones, lambda gamma, sigma: cone_mul(gamma, sigma, memo))
 
 
 def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
@@ -474,83 +473,34 @@ def check_normal_category_axioms(category: FiniteCategory) -> tuple[bool, dict, 
     return True, counts, None
 
 
-@dataclass
-class Functor:
-    """Functor data between two finite categories: an object dictionary and a
-    morphism translation."""
+def check_functor_isomorphism(source: FiniteCategory, target: FiniteCategory) -> tuple[bool, dict, dict | None]:
+    """Verify that two hom sources of one carrier give the same category.
 
-    source: FiniteCategory
-    target: FiniteCategory
-    object_map: dict
-    morphism_map: Callable
-
-    def apply_object(self, a):
-        return self.object_map[a]
-
-    def apply(self, f):
-        return self.morphism_map(f)
-
-
-def check_functor_isomorphism(functor: Functor, exhaustive: bool = True) -> tuple[bool, dict, dict | None]:
-    """Verify a functor is an isomorphism of categories.
-
-    Exhaustive mode checks object/hom bijections, identities, inclusions,
-    order preservation and composition; counts mode only compares object and
-    hom-set cardinalities.
+    Precondition: ``target`` is ``source``'s carrier with only its hom-sets
+    computed another way, so the two share objects, composition, identities,
+    order, inclusions, retractions, normal factorization and the isomorphism
+    test (``PowersetCategory`` over ``LCategory``, ``PartitionCategory`` over
+    ``RCategory``).  The identity on objects and morphisms is then an
+    isomorphism of categories exactly when the object lists are equal and
+    every hom-set is the same set, without duplicates, from both sources;
+    that is all this compares.
     Returns (ok, counts, witness).
     """
-    src, tgt = functor.source, functor.target
-    objs_s, objs_t = src.objects(), tgt.objects()
-    counts = {"source_objects": len(objs_s), "target_objects": len(objs_t), "hom_pairs": 0, "morphisms": 0}
+    objs = source.objects()
+    counts = {"source_objects": len(objs), "target_objects": len(target.objects()), "hom_pairs": 0, "morphisms": 0}
 
-    def fail(reason: str, **info):
-        witness = {"reason": reason}
-        witness.update(info)
-        return False, counts, witness
+    def fail(reason: str, a, b, **info):
+        return False, counts, {"reason": reason, "pair": [source.object_label(a), source.object_label(b)], **info}
 
-    mapped_objs = [functor.apply_object(a) for a in objs_s]
-    if len(set(mapped_objs)) != len(objs_s) or set(mapped_objs) != set(objs_t):
-        return fail("objects-not-bijective")
-    for a in objs_s:
-        for b in objs_s:
+    if objs != target.objects():
+        return False, counts, {"reason": "objects-not-bijective"}
+    for a in objs:
+        for b in objs:
             counts["hom_pairs"] += 1
-            hs = src.hom(a, b)
-            ht = tgt.hom(functor.apply_object(a), functor.apply_object(b))
+            hs, ht = source.hom(a, b), target.hom(a, b)
             if len(hs) != len(ht):
-                return fail(
-                    "hom-count-mismatch",
-                    pair=[src.object_label(a), src.object_label(b)],
-                    source=len(hs),
-                    target=len(ht),
-                )
+                return fail("hom-count-mismatch", a, b, source=len(hs), target=len(ht))
+            if len(set(hs)) != len(hs) or set(hs) != set(ht):
+                return fail("hom-not-bijective", a, b)
             counts["morphisms"] += len(hs)
-    if not exhaustive:
-        return True, counts, None
-
-    for a in objs_s:
-        fa = functor.apply_object(a)
-        if functor.apply(src.identity(a)) != tgt.identity(fa):
-            return fail("identity-not-preserved", object=src.object_label(a))
-        for b in objs_s:
-            fb = functor.apply_object(b)
-            if src.leq(a, b) != tgt.leq(fa, fb):
-                return fail("order-not-preserved", pair=[src.object_label(a), src.object_label(b)])
-            if a != b and src.leq(a, b):
-                if functor.apply(src.inclusion(a, b)) != tgt.inclusion(fa, fb):
-                    return fail("inclusion-not-preserved", pair=[src.object_label(a), src.object_label(b)])
-            mapped = [functor.apply(f) for f in src.hom(a, b)]
-            ht = tgt.hom(fa, fb)
-            if len(set(mapped)) != len(mapped) or set(mapped) != set(ht):
-                return fail("hom-not-bijective", pair=[src.object_label(a), src.object_label(b)])
-    for a in objs_s:
-        for b in objs_s:
-            for f in src.hom(a, b):
-                ff = functor.apply(f)
-                for c in objs_s:
-                    for g in src.hom(b, c):
-                        if functor.apply(src.compose(f, g)) != tgt.compose(ff, functor.apply(g)):
-                            return fail(
-                                "composition-not-preserved",
-                                morphisms=[src.morphism_label(f), src.morphism_label(g)],
-                            )
     return True, counts, None

@@ -3,7 +3,9 @@
 An object stands for the family of monotone maps from its block chain into
 the chain, and a morphism is precomposition with a block map running the
 other way; the category is carried entirely by the block maps, with the
-represented families materialized only for extensionality testing.
+represented families materialized only for extensionality testing.  It is
+the right-ideal category with every hom-set enumerated instead of computed
+from sandwich sets; the G-iso check compares the two sources.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from .chain import (
     OPMap,
     OrderedPartition,
     block_maps_between,
-    check_chain_size,
     idempotent_for_kernel,
 )
-from .cones import Cone, Functor
+from .cones import Cone
 from .ideals import RCategory, RMorphism, r_canonical
 from .ideals import factorize_pi  # noqa: F401  re-exported: the normal factorization here
 
@@ -84,12 +85,3 @@ class PartitionCategory(RCategory):
                 raise ValueError(f"image of {u} is not a cross-section of {vertex}")
         return Cone(self, vertex, {obj: r_canonical(obj, vertex, u) for obj in self.objects()})
 
-
-def functor_g(n: int, source: RCategory | None = None, target: PartitionCategory | None = None) -> Functor:
-    """The identity on objects and morphisms, from the right-ideal category
-    to the partition category: an isomorphism exactly when every sandwich
-    hom-set equals the enumerated one."""
-    check_chain_size(n)
-    src = source if source is not None else RCategory(n)
-    tgt = target if target is not None else PartitionCategory(n)
-    return Functor(src, tgt, {obj: obj for obj in src.objects()}, lambda m: m)

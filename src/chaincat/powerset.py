@@ -1,6 +1,8 @@
 """The category of proper subsets of the chain with monotone maps between
-them, its vertex cones, and the functor identifying it with the left-ideal
-category."""
+them, and its vertex cones.
+
+It is the left-ideal category with every hom-set enumerated instead of
+computed from sandwich sets; the F-iso check compares the two sources."""
 
 from __future__ import annotations
 
@@ -8,13 +10,12 @@ from .chain import (
     OPMap,
     SubMap,
     Subset,
-    check_chain_size,
     idempotent_for_image,
     image,
     restrict,
     submaps_between,
 )
-from .cones import Cone, Functor, mset
+from .cones import Cone, mset
 from .ideals import LCategory
 
 
@@ -59,12 +60,3 @@ def cone_to_opmap(gamma: Cone) -> OPMap:
     values = tuple(gamma.component(Subset(n, (x,)))(x) for x in range(1, n + 1))
     return OPMap(values)
 
-
-def functor_f(n: int, source: LCategory | None = None, target: PowersetCategory | None = None) -> Functor:
-    """The identity on objects and morphisms, from the left-ideal category
-    to the powerset category: an isomorphism exactly when every sandwich
-    hom-set equals the enumerated one."""
-    check_chain_size(n)
-    src = source if source is not None else LCategory(n)
-    tgt = target if target is not None else PowersetCategory(n)
-    return Functor(src, tgt, {obj: obj for obj in src.objects()}, lambda f: f)

@@ -64,11 +64,12 @@ class FiniteSemigroup:
         )
 
 
-def build(elements: Sequence, mul_fn: Callable, seed: int = 0) -> FiniteSemigroup:
+def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
     """Tabulate a multiplication and verify closure and associativity.
 
     Associativity is checked on every triple up to EXHAUSTIVE_ASSOC_LIMIT
-    elements and on SAMPLED_ASSOC_TRIPLES seeded random triples beyond that.
+    elements and on SAMPLED_ASSOC_TRIPLES random triples, drawn from a
+    fixed seed, beyond that.
     """
     elements = list(elements)
     index: dict = {}
@@ -96,7 +97,7 @@ def build(elements: Sequence, mul_fn: Callable, seed: int = 0) -> FiniteSemigrou
                     if t_ij[k] != ti[tj[k]]:
                         raise AssociativityError(elements[i], elements[j], elements[k])
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         for _ in range(SAMPLED_ASSOC_TRIPLES):
             i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(m)
             if table[table[i][j]][k] != table[i][table[j][k]]:

@@ -3,7 +3,9 @@
 Each check compares the honest sandwich hom-sets of an ideal category with
 the combinatorial ones of its powerset or partition twin.  A test-only
 subclass of the twin damages exactly one hom-set, and the check must name
-that pair in its witness.
+that pair in its witness.  The comparison decides the isomorphism only
+while each twin inherits its objects and every structure map from its ideal
+category, which the last test guards.
 """
 
 import pytest
@@ -67,3 +69,20 @@ def test_functor_check_names_the_planted_pair(case, fresh_builds, monkeypatch):
     assert report.status == "fail"
     assert report.witness["reason"] == reason
     assert report.witness["pair"] == [planted.object_label(x) for x in pair]
+
+
+SHARED = (
+    "compose",
+    "identity",
+    "leq",
+    "inclusion",
+    "retraction",
+    "normal_factorize",
+    "is_isomorphism",
+    "_compute_objects",
+)
+
+
+@pytest.mark.parametrize("twin", [PowersetCategory, PartitionCategory])
+def test_twins_inherit_the_category_structure(twin):
+    assert not set(SHARED) & set(vars(twin))

@@ -10,8 +10,8 @@ from chaincat.cones import (
 )
 from chaincat.ideals import l_morphism_from_triple
 from chaincat.chain import compose, extend_by_idempotent, idempotent_for_image
-from chaincat.powerset import cone_to_opmap, functor_f
-from chaincat.verify import left_category, powerset_category
+from chaincat.powerset import cone_to_opmap
+from chaincat.verify import check_f_iso, left_category, powerset_category
 
 
 def sub(n, *elems):
@@ -119,10 +119,14 @@ class TestConeToOPMap:
 
 
 class TestFunctorF:
+    """F is the identity from the left-ideal category to the powerset
+    category, so it is an isomorphism exactly when the two hom sources agree."""
+
     def test_identity_preserved(self):
-        F = functor_f(3)
-        a = F.source.objects()[3]
-        assert F.apply(F.source.identity(a)) == F.target.identity(F.apply_object(a))
+        lcat, pocat = left_category(3), powerset_category(3)
+        a = lcat.objects()[3]
+        assert lcat.identity(a) == pocat.identity(a)
+        assert pocat.identity(a) in lcat.hom(a, a) and pocat.identity(a) in pocat.hom(a, a)
 
     def test_fullness_witness(self):
         # a subset-level map pulled back through the sandwich construction
@@ -132,17 +136,20 @@ class TestFunctorF:
         u_hat = extend_by_idempotent(f)
         assert compose(e_a, u_hat) == u_hat and compose(u_hat, e_b) == u_hat
         m = l_morphism_from_triple(e_a, u_hat, e_b)
-        assert functor_f(3).apply(m) == f
+        assert m == f
+        assert m in left_category(3).hom(f.source, f.target)
+        assert f in powerset_category(3).hom(f.source, f.target)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_isomorphism_exhaustive(self, n):
-        ok, counts, witness = check_functor_isomorphism(functor_f(n), exhaustive=True)
+        ok, counts, witness = check_functor_isomorphism(left_category(n), powerset_category(n))
         assert ok, witness
 
-    def test_counts_only_n5(self):
-        ok, counts, witness = check_functor_isomorphism(functor_f(5), exhaustive=False)
+    def test_isomorphism_n5(self):
+        ok, counts, witness = check_f_iso(5)
         assert ok, witness
         assert counts["source_objects"] == counts["target_objects"] == 30
+        assert counts["exhaustive"] == 1
 
     def test_morphism_totals_agree(self):
         lcat, pocat = left_category(3), powerset_category(3)

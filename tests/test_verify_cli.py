@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from chaincat import verify
+from chaincat.chain import OPMap, OrderedPartition
 from chaincat.cli import main
+from chaincat.cones import Cone, cone_json
 from chaincat.verify import (
     CHECKS,
     CheckReport,
@@ -48,14 +51,24 @@ class TestRunner:
         assert set(data) == {"check", "n", "status", "counts", "witness", "elapsed_ms"}
         json.dumps(data)
 
-    def test_sampled_suite_passes_across_seeds(self):
-        for seed in (0, 1, 2024):
-            assert run_check("factorize-Pi", 5, seed=seed).status == "pass"
+    def test_factorize_pi_exhaustive_at_5(self):
+        report = run_check("factorize-Pi", 5)
+        assert report.status == "pass", report.witness
+        assert report.counts["Pi_factorizations"] == report.counts["Pi_morphisms"] == 2345
+
+    @pytest.mark.parametrize(
+        "name,key,total",
+        [("F-iso", "morphisms", 55363), ("G-iso", "morphisms", 22236), ("factorize-Pi", "Pi_factorizations", 22236)],
+    )
+    def test_exhaustive_totals_at_6(self, name, key, total):
+        report = run_check(name, 6)
+        assert report.status == "pass", report.witness
+        assert report.counts[key] == total
 
     def test_exceptions_become_failed_reports(self, monkeypatch):
         from chaincat import verify
 
-        def boom(n, seed=0):
+        def boom(n):
             raise RuntimeError("kaput")
 
         monkeypatch.setitem(verify.CHECKS, "boom", verify.CheckDef(boom, 3, 4))
@@ -65,8 +78,18 @@ class TestRunner:
 
 
 class TestFaultInjection:
-    def test_dropped_cone_produces_witness(self):
-        ok, counts, witness = check_cones_principal(3, _corrupt=lambda cones: cones[1:])
+    """Each planted defect reaches a check through a name verify looks up at
+    call time, and the check must fail with a witness naming it."""
+
+    def test_dropped_cone_produces_witness(self, monkeypatch):
+        enumerate_normal_cones = verify.enumerate_normal_cones
+
+        def drop_first(cat, vertex):
+            cones = enumerate_normal_cones(cat, vertex)
+            return cones[1:] if vertex == cat.objects()[0] else cones
+
+        monkeypatch.setattr(verify, "enumerate_normal_cones", drop_first)
+        ok, counts, witness = check_cones_principal(3)
         assert not ok
         assert witness["missing"] == 1 and witness["extra"] == 0
         assert "vertex" in witness["cone"]
@@ -75,26 +98,54 @@ class TestFaultInjection:
         report = CheckReport("cones-principal", 3, "fail", {}, {"reason": "x"}, 0)
         assert report.status == "fail" and report.witness is not None
 
-    def test_swapped_cone_produces_extra(self):
-        from chaincat.verify import left_category
+    def test_swapped_cone_produces_extra(self, monkeypatch):
+        enumerate_normal_cones = verify.enumerate_normal_cones
 
-        cat = left_category(4)
-
-        def corrupt(cones):
-            from chaincat.cones import Cone
-
-            victim = max(cones, key=lambda c: len(c.vertex))
+        def swap_one(cat, vertex):
+            cones = enumerate_normal_cones(cat, vertex)
+            if vertex != max(cat.objects(), key=len):
+                return cones
+            victim, *rest = cones
             bad = dict(victim.components)
-            target = next(
-                obj for obj in victim.components if len(cat.hom(obj, victim.vertex)) > 1
-            )
-            bad[target] = next(
-                m for m in cat.hom(target, victim.vertex) if m != victim.components[target]
-            )
-            return [c for c in cones if c != victim] + [Cone(cat, victim.vertex, bad)]
+            target = next(obj for obj in bad if len(cat.hom(obj, vertex)) > 1)
+            bad[target] = next(m for m in cat.hom(target, vertex) if m != victim.components[target])
+            return rest + [Cone(cat, vertex, bad)]
 
-        ok, counts, witness = check_cones_principal(4, _corrupt=corrupt)
+        monkeypatch.setattr(verify, "enumerate_normal_cones", swap_one)
+        ok, counts, witness = check_cones_principal(4)
         assert not ok and witness["extra"] == 1 and witness["missing"] == 1
+
+    def test_wrong_middle_factor_names_its_morphism(self, monkeypatch):
+        cat = verify.partition_category(5)
+        obj = OrderedPartition(5, (1, 1, 1, 2))
+        factorize_pi = verify.factorize_pi
+
+        def planted(m):
+            q, u, v = factorize_pi(m)
+            if m.source == m.target == obj and str(m.eta) == "[1,3,3,4]":
+                u = next(x for x in cat.hom(u.source, u.target) if x != u)
+            return q, u, v
+
+        monkeypatch.setattr(verify, "factorize_pi", planted)
+        report = run_check("factorize-Pi", 5)
+        assert report.status == "fail"
+        assert report.witness["morphism"] == "[1,3,3,4]"
+
+    def test_broken_roundtrip_names_map_and_cone(self, monkeypatch):
+        cat = verify.powerset_category(3)
+        victim = OPMap((1, 1, 2))
+        cone_to_opmap = verify.cone_to_opmap
+
+        def planted(gamma):
+            a = cone_to_opmap(gamma)
+            return OPMap((1, 1, 1)) if a == victim else a
+
+        monkeypatch.setattr(verify, "cone_to_opmap", planted)
+        report = run_check("TPo-iso", 3)
+        assert report.status == "fail"
+        assert report.counts["roundtrip"] == 0
+        assert report.witness["map"] == "[1,1,2]"
+        assert report.witness["cone"] == cone_json(cat.principal_cone(victim))
 
 
 class TestCLI:
@@ -151,6 +202,16 @@ class TestCLI:
         capsys.readouterr()
         data = json.loads(out.read_text())
         assert data["passed"] is True
+
+    def test_seed_has_no_effect(self, capsys):
+        def report(*extra):
+            assert main(["--check", "factorize-Pi", "--n", "5", *extra, "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            for r in data["reports"]:
+                del r["elapsed_ms"]
+            return data
+
+        assert report("--seed", "7") == report()
 
     def test_list(self, capsys):
         assert main(["--list"]) == 0
