@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import itemgetter
 
 MIN_CHAIN = 3
 MAX_CHAIN = 12
@@ -28,6 +29,8 @@ class OPMap:
 
     Stored as its image sequence: ``images[x-1]`` is the value of the map at
     ``x``.  Composition is left to right, so ``(f * g)(x) = g(f(x))``.
+    Built from outside, the sequence is validated; composites built inside
+    the library go through ``_trusted`` and skip the check.
     """
 
     images: tuple[int, ...]
@@ -43,6 +46,13 @@ class OPMap:
             if v < prev:
                 raise ValueError(f"image sequence {self.images} is not monotone")
             prev = v
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> OPMap:
+        """Build without validation, for image sequences known to be valid."""
+        f = object.__new__(cls)
+        f.__dict__["images"] = images
+        return f
 
     @classmethod
     def identity(cls, n: int) -> OPMap:
@@ -74,6 +84,23 @@ class OPMap:
 
     def rank(self) -> int:
         return len(set(self.images))
+
+    @cached_property
+    def _image(self) -> Subset:
+        return Subset.of(self.n, self.images)
+
+    @cached_property
+    def _kernel(self) -> OrderedPartition:
+        sizes = []
+        run, current = 0, self.images[0]
+        for v in self.images:
+            if v == current:
+                run += 1
+            else:
+                sizes.append(run)
+                run, current = 1, v
+        sizes.append(run)
+        return OrderedPartition(self.n, tuple(sizes))
 
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.images)) + "]"
@@ -220,6 +247,13 @@ class SubMap:
             prev = v
 
     @classmethod
+    def _trusted(cls, domain: Subset, codomain: Subset, values: tuple[int, ...]) -> SubMap:
+        """Build without validation, for composites of valid submaps."""
+        f = object.__new__(cls)
+        f.__dict__.update(domain=domain, codomain=codomain, values=values)
+        return f
+
+    @classmethod
     def identity(cls, a: Subset) -> SubMap:
         return cls(a, a, a.elements)
 
@@ -243,7 +277,7 @@ class SubMap:
     def then(self, other: SubMap) -> SubMap:
         if self.codomain != other.domain:
             raise ValueError(f"cannot compose: codomain {self.codomain} != domain {other.domain}")
-        return SubMap(self.domain, other.codomain, tuple(other(v) for v in self.values))
+        return SubMap._trusted(self.domain, other.codomain, tuple(other(v) for v in self.values))
 
     def image(self) -> Subset:
         return Subset.of(self.domain.n, self.values)
@@ -282,6 +316,13 @@ class BlockMap:
             prev = j
 
     @classmethod
+    def _trusted(cls, source: OrderedPartition, target: OrderedPartition, images: tuple[int, ...]) -> BlockMap:
+        """Build without validation, for composites of valid block maps."""
+        f = object.__new__(cls)
+        f.__dict__.update(source=source, target=target, images=images)
+        return f
+
+    @classmethod
     def identity(cls, p: OrderedPartition) -> BlockMap:
         return cls(p, p, tuple(range(p.num_blocks)))
 
@@ -299,7 +340,7 @@ class BlockMap:
     def then(self, other: BlockMap) -> BlockMap:
         if self.target != other.source:
             raise ValueError(f"cannot compose: target {self.target} != source {other.source}")
-        return BlockMap(self.source, other.target, tuple(other.images[j] for j in self.images))
+        return BlockMap._trusted(self.source, other.target, tuple(other.images[j] for j in self.images))
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.images == tuple(range(self.source.num_blocks))
@@ -315,28 +356,30 @@ class BlockMap:
 # operations on whole-chain maps
 
 def compose(f: OPMap, g: OPMap) -> OPMap:
-    """Left-to-right composition: apply f, then g."""
-    if f.n != g.n:
-        raise ValueError(f"cannot compose maps on chains of size {f.n} and {g.n}")
-    return OPMap(tuple(g.images[v - 1] for v in f.images))
+    """Left-to-right composition: apply f, then g.
+
+    A composite of two monotone maps of one chain is monotone with values in
+    range, so it is built without validation.
+    """
+    fi, gi = f.images, g.images
+    if len(fi) != len(gi):
+        raise ValueError(f"cannot compose maps on chains of size {len(fi)} and {len(gi)}")
+    if len(fi) == 1:
+        return g
+    # itemgetter reads the values 1-based from g's images behind a pad slot;
+    # with one index it would return a bare value, hence the case above.
+    return OPMap._trusted(itemgetter(*fi)((0,) + gi))
 
 
 def image(f: OPMap) -> Subset:
-    return Subset.of(f.n, f.images)
+    """The image of f, computed once per map."""
+    return f._image
 
 
 def kernel(f: OPMap) -> OrderedPartition:
-    """The partition of the chain into fibers of f; monotone fibers are intervals."""
-    sizes = []
-    run, current = 0, f.images[0]
-    for v in f.images:
-        if v == current:
-            run += 1
-        else:
-            sizes.append(run)
-            run, current = 1, v
-    sizes.append(run)
-    return OrderedPartition(f.n, tuple(sizes))
+    """The partition of the chain into fibers of f; monotone fibers are
+    intervals.  Computed once per map."""
+    return f._kernel
 
 
 def green(f: OPMap, g: OPMap, relation: str) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .verify import CHECKS, SELECTORS, CheckReport, ResourceLimit, export_cayley, run_all, run_check
@@ -31,6 +32,23 @@ def _render_json(reports: list[CheckReport]) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _emit(text: str) -> None:
+    """Print to stdout.  A reader that closed the pipe early (``| head``) is
+    not an error: stdout is pointed at the null device, when it has a file
+    descriptor, so that the interpreter's final flush does not raise again."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chaincat-verify",
@@ -51,9 +69,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for name, d in CHECKS.items():
-            print(f"{name:16} n={d.min_n}..{d.max_n}")
-        print(f"{'all':16} runs every check in range for the given n")
+        lines = [f"{name:16} n={d.min_n}..{d.max_n}" for name, d in CHECKS.items()]
+        lines.append(f"{'all':16} runs every check in range for the given n")
+        _emit("\n".join(lines))
         return 0
 
     if (args.check is None) == (args.export_cayley is None):
@@ -69,7 +87,7 @@ def main(argv=None) -> int:
         except (ResourceLimit, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(path)
+        _emit(path)
         return 0
 
     try:
@@ -82,7 +100,7 @@ def main(argv=None) -> int:
         return 2
 
     rendered = _render_json(reports) if args.format == "json" else _render_text(reports)
-    print(rendered)
+    _emit(rendered)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)

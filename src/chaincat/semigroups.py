@@ -8,6 +8,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Callable, Sequence
 
 EXHAUSTIVE_ASSOC_LIMIT = 200
@@ -69,7 +70,9 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
 
     Associativity is checked on every triple up to EXHAUSTIVE_ASSOC_LIMIT
     elements and on SAMPLED_ASSOC_TRIPLES random triples, drawn from a
-    fixed seed, beyond that.
+    fixed seed, beyond that.  The draws are the ones ``randrange(m)`` makes
+    on ``random.Random(0)``: ``m.bit_length()`` random bits, redrawn while
+    the value is not below m.
     """
     elements = list(elements)
     index: dict = {}
@@ -83,9 +86,10 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
         row = []
         for b in elements:
             p = mul_fn(a, b)
-            if p not in index:
+            k = index.get(p)
+            if k is None:
                 raise ClosureError(a, b, p)
-            row.append(index[p])
+            row.append(k)
         table.append(row)
     if m <= EXHAUSTIVE_ASSOC_LIMIT:
         for i in range(m):
@@ -97,9 +101,8 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
                     if t_ij[k] != ti[tj[k]]:
                         raise AssociativityError(elements[i], elements[j], elements[k])
     else:
-        rng = random.Random(0)
-        for _ in range(SAMPLED_ASSOC_TRIPLES):
-            i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+        draws = filter(m.__gt__, map(random.Random(0).getrandbits, repeat(m.bit_length())))
+        for i, j, k in islice(zip(draws, draws, draws), SAMPLED_ASSOC_TRIPLES):
             if table[table[i][j]][k] != table[i][table[j][k]]:
                 raise AssociativityError(elements[i], elements[j], elements[k])
     return FiniteSemigroup(elements, table, index)

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from chaincat.chain import OPMap, compose, enumerate_oxn, green
 from chaincat.semigroups import (
     AssociativityError,
     ClosureError,
+    EXHAUSTIVE_ASSOC_LIMIT,
+    SAMPLED_ASSOC_TRIPLES,
     ElementMap,
     build,
     find_isomorphism,
@@ -49,6 +53,34 @@ def test_associativity_error_names_witness():
     with pytest.raises(AssociativityError) as info:
         build([0, 1], lambda x, y: 1 - y)
     assert len(info.value.witness) == 3
+
+
+def _reference_triples(m):
+    rng = random.Random(0)
+    for _ in range(SAMPLED_ASSOC_TRIPLES):
+        yield rng.randrange(m), rng.randrange(m), rng.randrange(m)
+
+
+def test_sampled_associativity_draws_the_randrange_triples():
+    # Past the exhaustive limit; x*y = y+1 (mod m) fails on every triple, so
+    # the witness is the first triple drawn.
+    m = EXHAUSTIVE_ASSOC_LIMIT + 50
+    with pytest.raises(AssociativityError) as info:
+        build(range(m), lambda x, y: (y + 1) % m)
+    assert info.value.witness == next(_reference_triples(m))
+
+
+def test_sampled_associativity_reaches_deep_into_the_draws():
+    # A left-zero band with z*z moved off z fails exactly on the triples
+    # (z, y, z).  Taking z from the first reference triple with i == k puts
+    # the witness hundreds of draws into the stream.
+    m = EXHAUSTIVE_ASSOC_LIMIT + 50
+    position, witness = next((t, (i, j, k)) for t, (i, j, k) in enumerate(_reference_triples(m)) if i == k)
+    z = witness[0]
+    assert position > 10
+    with pytest.raises(AssociativityError) as info:
+        build(range(m), lambda x, y: (z + 1) % m if x == y == z else x)
+    assert info.value.witness == witness
 
 
 def test_is_regular():

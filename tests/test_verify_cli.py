@@ -1,8 +1,16 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from chaincat import verify
+import chaincat
+from chaincat import chain, verify
 from chaincat.chain import OPMap, OrderedPartition
 from chaincat.cli import main
 from chaincat.cones import Cone, cone_json
@@ -131,6 +139,42 @@ class TestFaultInjection:
         assert report.status == "fail"
         assert report.witness["morphism"] == "[1,3,3,4]"
 
+    @pytest.mark.parametrize(
+        "plant,reason",
+        [
+            (lambda maps: maps[1:], "enumeration does not match the closed form"),
+            (lambda maps: (maps[1],) + maps[1:], "duplicate maps in the enumeration"),
+            (lambda maps: (OPMap.identity(maps[0].n),) + maps[1:], "identity map slipped into the enumeration"),
+        ],
+        ids=["dropped", "duplicated", "identity"],
+    )
+    def test_bad_enumeration_fails_counts(self, fresh_builds, monkeypatch, plant, reason):
+        enumerate_oxn = chain.enumerate_oxn
+        monkeypatch.setattr(chain, "enumerate_oxn", lambda n: plant(enumerate_oxn(n)))
+        report = run_check("counts", 4)
+        assert report.status == "fail"
+        assert report.witness == {"reason": reason}
+        assert report.counts["expected"] == 34
+
+    def test_flipped_characterization_fails_green(self, fresh_builds, monkeypatch):
+        green = chain.green
+        victim = (OPMap((1, 1, 2)), OPMap((1, 2, 2)), "L")
+
+        def planted(a, b, relation):
+            answer = green(a, b, relation)
+            return not answer if (a, b, relation) == victim else answer
+
+        monkeypatch.setattr(chain, "green", planted)
+        report = run_check("green", 3)
+        assert report.status == "fail"
+        assert report.witness == {
+            "a": "[1,1,2]",
+            "b": "[1,2,2]",
+            "relation": "L",
+            "characterization": False,
+            "oracle": True,
+        }
+
     def test_broken_roundtrip_names_map_and_cone(self, monkeypatch):
         cat = verify.powerset_category(3)
         victim = OPMap((1, 1, 2))
@@ -212,6 +256,31 @@ class TestCLI:
             return data
 
         assert report("--seed", "7") == report()
+
+    def test_closed_pipe_keeps_the_exit_code(self, tmp_path):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        out = tmp_path / "report.json"
+        with redirect_stdout(ClosedPipe()):
+            assert main(["--check", "counts", "--n", "3", "--out", str(out)]) == 0
+            assert main(["--list"]) == 0
+        assert "PASS" in out.read_text()
+
+    def test_closed_pipe_on_a_real_descriptor(self):
+        src = str(Path(chaincat.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chaincat.cli", "--check", "counts", "--n", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the report is printed
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert b"BrokenPipeError" not in err and b"Traceback" not in err
 
     def test_list(self, capsys):
         assert main(["--list"]) == 0
