@@ -49,9 +49,14 @@ class OPMap:
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> OPMap:
-        """Build without validation, for image sequences known to be valid."""
+        """Build without validation, for image sequences known to be valid.
+
+        Fields are set with ``object.__setattr__``, as the dataclass
+        ``__init__`` does; writing them through ``f.__dict__`` would give each
+        map a real dict and more than double its size.
+        """
         f = object.__new__(cls)
-        f.__dict__["images"] = images
+        object.__setattr__(f, "images", images)
         return f
 
     @classmethod
@@ -250,7 +255,10 @@ class SubMap:
     def _trusted(cls, domain: Subset, codomain: Subset, values: tuple[int, ...]) -> SubMap:
         """Build without validation, for composites of valid submaps."""
         f = object.__new__(cls)
-        f.__dict__.update(domain=domain, codomain=codomain, values=values)
+        init = object.__setattr__
+        init(f, "domain", domain)
+        init(f, "codomain", codomain)
+        init(f, "values", values)
         return f
 
     @classmethod
@@ -319,7 +327,10 @@ class BlockMap:
     def _trusted(cls, source: OrderedPartition, target: OrderedPartition, images: tuple[int, ...]) -> BlockMap:
         """Build without validation, for composites of valid block maps."""
         f = object.__new__(cls)
-        f.__dict__.update(source=source, target=target, images=images)
+        init = object.__setattr__
+        init(f, "source", source)
+        init(f, "target", target)
+        init(f, "images", images)
         return f
 
     @classmethod
@@ -328,11 +339,14 @@ class BlockMap:
 
     @classmethod
     def containment(cls, finer: OrderedPartition, coarser: OrderedPartition) -> BlockMap:
-        """Send each block of the finer partition to the block containing it."""
+        """Send each block of the finer partition to the block containing it.
+
+        Refinement makes those images monotone and in range, so the map is
+        built without re-validation."""
         if not finer.refines(coarser):
             raise ValueError(f"{finer} does not refine {coarser}")
         images = tuple(coarser.block_of(block[0]) for block in finer.blocks)
-        return cls(finer, coarser, images)
+        return cls._trusted(finer, coarser, images)
 
     def __call__(self, i: int) -> int:
         return self.images[i]

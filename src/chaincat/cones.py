@@ -327,41 +327,69 @@ def cone_semigroup(category: FiniteCategory, cones) -> FiniteSemigroup:
 
 
 def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
-    """All normal cones with the given vertex, by exhaustive backtracking.
+    """All normal cones with the given vertex, by backtracking over the
+    maximal objects with forward checking.
 
-    Objects are assigned in decreasing subobject order, so each non-maximal
-    object's component is forced by any already-assigned object above it;
-    conflicting forcings prune the branch.  Each object's inclusions into
-    its assigned parents are built once, up front.
+    Only the maximal objects (those with no object strictly above them)
+    branch, each over all of hom(m, vertex).  Every other object x takes the
+    component j(x, m)·comp[m] from its first maximal ancestor m, and as each
+    later maximal ancestor m' is assigned, j(x, m')·comp[m'] must equal it or
+    the branch is pruned.
+
+    Why the survivors are exactly the cones: for x ≤ b ≤ m with m maximal,
+    comp[b] is j(b, m)·comp[m], so j(x, b)·comp[b] = j(x, b)·j(b, m)·comp[m]
+    = j(x, m)·comp[m] by the inclusion-composition axiom (which the
+    factorize checks verify).  Every cone condition therefore reduces to the
+    maximal ancestors of each object agreeing, and every cone arises from
+    the branch given by its maximal components.  The restriction of each
+    f in hom(m, vertex) to every object below m is composed once, up front,
+    and the search compares small ints standing for those restrictions.
+
+    Uses only ``hom``, ``leq``, ``inclusion``, ``compose`` and
+    ``is_isomorphism``, so it stays independent of any principal cones.
+    Cones come out in lexicographic order of their maximal components, the
+    maximal objects taken in ``object_sort_key`` order.
     """
     objs = sorted(category.objects(), key=category.object_sort_key)
-    parents: list[list[tuple]] = [
-        [(objs[j], category.inclusion(obj, objs[j])) for j in range(i) if category.leq(obj, objs[j])]
-        for i, obj in enumerate(objs)
-    ]
+    maximal = [m for m in objs if not any(b != m and category.leq(m, b) for b in objs)]
+    lower = [x for x in objs if x not in maximal]
+    # sets[i] / checks[i]: the lower objects whose first / a later maximal
+    # ancestor is maximal[i], as (slot in the rows of maximal[i], index into
+    # lower); rows[i] pairs each f in hom(maximal[i], vertex) with the ids
+    # of its restrictions.
+    sets: list[list[tuple[int, int]]] = [[] for _ in maximal]
+    checks: list[list[tuple[int, int]]] = [[] for _ in maximal]
+    placed: set[int] = set()
+    ids: dict = {}
+    rows: list[list[tuple]] = []
+    for i, m in enumerate(maximal):
+        below = [(k, category.inclusion(x, m)) for k, x in enumerate(lower) if category.leq(x, m)]
+        for slot, (k, _) in enumerate(below):
+            (checks if k in placed else sets)[i].append((slot, k))
+            placed.add(k)
+        rows.append([
+            (f, tuple([ids.setdefault(category.compose(j, f), len(ids)) for _, j in below]))
+            for f in category.hom(m, vertex)
+        ])
+    morphisms = list(ids)
+    current: list[int | None] = [None] * len(lower)
+    chosen: list = [None] * len(maximal)
     found: list[Cone] = []
-    components: dict = {}
 
     def assign(i: int):
-        if i == len(objs):
+        if i == len(maximal):
+            components = dict(zip(maximal, chosen))
+            components.update((x, morphisms[c]) for x, c in zip(lower, current))
             if any(category.is_isomorphism(f) for f in components.values()):
                 found.append(Cone(category, vertex, components))
             return
-        obj = objs[i]
-        if parents[i]:
-            (first, j), *rest = parents[i]
-            forced = category.compose(j, components[first])
-            for p, j in rest:
-                if category.compose(j, components[p]) != forced:
-                    return
-            components[obj] = forced
+        for f, row in rows[i]:
+            if any(row[slot] != current[k] for slot, k in checks[i]):
+                continue
+            for slot, k in sets[i]:
+                current[k] = row[slot]
+            chosen[i] = f
             assign(i + 1)
-            del components[obj]
-        else:
-            for f in category.hom(obj, vertex):
-                components[obj] = f
-                assign(i + 1)
-            components.pop(obj, None)
 
     assign(0)
     assert len(set(found)) == len(found)

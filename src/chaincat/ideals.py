@@ -167,8 +167,15 @@ def r_morphism_from_triple(e: OPMap, v: OPMap, f: OPMap) -> RMorphism:
 
 def r_canonical(a: OrderedPartition, b: OrderedPartition, v: OPMap) -> RMorphism:
     """The canonical form of v in the sandwich set between the kernels a
-    and b: each block of b goes to the block of a holding its v-image."""
-    return RMorphism(BlockMap(b, a, tuple(a.block_of(v(block[0])) for block in b.blocks)))
+    and b: each block of b goes to the block of a holding its v-image.
+
+    Once a, b and v are known to share one chain, the block map is valid
+    (v and block lookup are monotone, block indices in range), so it is
+    built without re-validation.
+    """
+    if not a.n == b.n == v.n:
+        raise ValueError(f"{a}, {b} and {v} do not live on one chain")
+    return RMorphism(BlockMap._trusted(b, a, tuple(a.block_of(v(block[0])) for block in b.blocks)))
 
 
 def r_compose(m1: RMorphism, m2: RMorphism) -> RMorphism:

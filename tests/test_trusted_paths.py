@@ -1,7 +1,9 @@
-"""Composites built inside the library skip validation; these tests hold them
-to the validating constructors, and the cached kernels and images to a fresh
-computation."""
+"""Composites, containments and canonical forms built inside the library
+skip validation; these tests hold them to the validating constructors, the
+unvalidated maps to the size of validated ones, and the cached kernels and
+images to a fresh computation."""
 
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -17,6 +19,7 @@ from chaincat.chain import (
     image,
     kernel,
 )
+from chaincat.ideals import r_canonical
 from chaincat.verify import left_category, partition_category, powerset_category, right_category
 
 
@@ -57,6 +60,66 @@ def test_then_equals_validated_morphism(build):
                 assert h == checked and hash(h) == hash(checked)
                 pairs += 1
     assert pairs == {14: 37096, 7: 8623}[len(objs)]
+
+
+@pytest.mark.parametrize("build", [right_category, partition_category])
+def test_containments_and_canonical_forms_equal_validated_ones(build):
+    cat = build(4)
+    objs = cat.objects()
+    homs = [m for a in objs for b in objs for m in cat.hom(a, b)]
+    built = [cat.inclusion(a, b) for a, b in cat.subobject_pairs()]
+    built += [cat.normal_factorize(m)[2] for m in homs]
+    built += homs
+    cones = [cat.dual_principal_cone(a) for a in enumerate_oxn(4)] + [cat.idempotent_cone(v) for v in objs]
+    built += [m for cone in cones for m in cone.components.values()]
+    for m in built:
+        checked = _rebuilt(m)
+        assert type(m.eta) is BlockMap
+        assert m == checked and hash(m) == hash(checked)
+    assert len(built) == 12 + 2 * 229 + (34 + 7) * 7
+
+
+@pytest.mark.parametrize(
+    "a,b,v",
+    [
+        (OrderedPartition(3, (1, 2)), OrderedPartition(4, (1, 3)), OPMap((1, 1, 2))),
+        (OrderedPartition(3, (1, 2)), OrderedPartition(3, (2, 1)), OPMap((1, 1, 2, 2))),
+        (OrderedPartition(4, (1, 3)), OrderedPartition(4, (2, 2)), OPMap((1, 1, 2))),
+    ],
+    ids=["partitions", "map-longer", "map-shorter"],
+)
+def test_canonical_form_rejects_mixed_chains(a, b, v):
+    with pytest.raises(ValueError):
+        r_canonical(a, b, v)
+
+
+def _bytes_each(make, count=5000) -> float:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = [make() for _ in range(count)]
+        return (tracemalloc.get_traced_memory()[0] - before) / len(made)
+    finally:
+        tracemalloc.stop()
+
+
+P, Q = OrderedPartition(4, (2, 2)), OrderedPartition(4, (1, 3))
+A, B = Subset(4, (1, 2)), Subset(4, (1, 3))
+
+
+@pytest.mark.parametrize(
+    "validated,trusted",
+    [
+        (lambda: OPMap((1, 1, 2, 3)), lambda: OPMap._trusted((1, 1, 2, 3))),
+        (lambda: SubMap(A, B, (1, 3)), lambda: SubMap._trusted(A, B, (1, 3))),
+        (lambda: BlockMap(P, Q, (0, 1)), lambda: BlockMap._trusted(P, Q, (0, 1))),
+    ],
+    ids=["opmap", "submap", "blockmap"],
+)
+def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
+    # One byte per map of slack absorbs the allocator's own bookkeeping; a
+    # materialized instance dict would add over 60.
+    assert _bytes_each(trusted) <= _bytes_each(validated) + 1
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,11 @@ import pytest
 
 import chaincat
 from chaincat import chain, verify
-from chaincat.chain import OPMap, OrderedPartition
+from chaincat.chain import BlockMap, OPMap, OrderedPartition, SubMap, Subset
 from chaincat.cli import main
 from chaincat.cones import Cone, cone_json
+from chaincat.ideals import LCategory, RCategory, RMorphism
+from chaincat.powerset import PowersetCategory
 from chaincat.verify import (
     CHECKS,
     CheckReport,
@@ -46,8 +48,8 @@ class TestRunner:
     def test_run_all_caps_per_check(self):
         reports = run_all(5)
         by_name = {r.check: r for r in reports}
-        assert by_name["cones-principal"].n == 4
-        assert by_name["cones-principal"].counts["capped_from"] == 5
+        assert by_name["cone-regular"].n == 4
+        assert by_name["cone-regular"].counts["capped_from"] == 5
         assert by_name["factorize-L"].n == 4
         assert by_name["green"].n == 5 and "capped_from" not in by_name["green"].counts
         assert all(r.status == "pass" for r in reports)
@@ -138,6 +140,44 @@ class TestFaultInjection:
         report = run_check("factorize-Pi", 5)
         assert report.status == "fail"
         assert report.witness["morphism"] == "[1,3,3,4]"
+
+    @pytest.mark.parametrize(
+        "check,builder,base,victim,label",
+        [
+            (
+                "factorize-L", "left_category", LCategory,
+                SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (1, 3)), "rho({1,2} -> {1,3}: [1,3])",
+            ),
+            (
+                "factorize-L", "right_category", RCategory,
+                RMorphism(BlockMap(OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2)), (0, 1))),
+                "lambda((1,2) -> (2,1): [1,2])",
+            ),
+            (
+                "factorize-Po", "powerset_category", PowersetCategory,
+                SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (1, 3)), "[1,3]",
+            ),
+        ],
+        ids=["L", "R", "Po"],
+    )
+    def test_wrong_middle_factor_fails_the_axioms(self, fresh_builds, monkeypatch, check, builder, base, victim, label):
+        class Planted(base):
+            def normal_factorize(self, f):
+                q, u, j = super().normal_factorize(f)
+                if f == victim:
+                    u = next(x for x in self.hom(u.source, u.target) if x != u)
+                return q, u, j
+
+        planted = Planted(3)
+        assert victim in planted.hom(victim.source, victim.target)
+        monkeypatch.setattr(verify, builder, lambda n: planted)
+        report = run_check(check, 3)
+        assert report.status == "fail"
+        assert report.witness == {
+            "category": {LCategory: "L", RCategory: "R", PowersetCategory: "Po"}[base],
+            "axiom": "factorization-isomorphism",
+            "morphism": label,
+        }
 
     @pytest.mark.parametrize(
         "plant,reason",
