@@ -11,6 +11,7 @@ from .chain import (
     compose,
     enumerate_oxn,
     green,
+    green_class,
     idempotent_for_image,
     idempotent_for_kernel,
     image,

@@ -143,6 +143,11 @@ class Subset:
     def issubset(self, other: Subset) -> bool:
         return self.n == other.n and set(self.elements) <= set(other.elements)
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        """Each element's position in ``elements``."""
+        return {x: i for i, x in enumerate(self.elements)}
+
     def __contains__(self, x: int) -> bool:
         return x in self.elements
 
@@ -176,10 +181,6 @@ class OrderedPartition:
     @classmethod
     def identity(cls, n: int) -> OrderedPartition:
         return cls(n, (1,) * n)
-
-    @classmethod
-    def single_block(cls, n: int) -> OrderedPartition:
-        return cls(n, (n,))
 
     @property
     def num_blocks(self) -> int:
@@ -285,7 +286,8 @@ class SubMap:
     def then(self, other: SubMap) -> SubMap:
         if self.codomain != other.domain:
             raise ValueError(f"cannot compose: codomain {self.codomain} != domain {other.domain}")
-        return SubMap._trusted(self.domain, other.codomain, tuple(other(v) for v in self.values))
+        positions, values = other.domain._positions, other.values
+        return SubMap._trusted(self.domain, other.codomain, tuple([values[positions[v]] for v in self.values]))
 
     def image(self) -> Subset:
         return Subset.of(self.domain.n, self.values)
@@ -396,22 +398,26 @@ def kernel(f: OPMap) -> OrderedPartition:
     return f._kernel
 
 
-def green(f: OPMap, g: OPMap, relation: str) -> bool:
-    """Green's relations by their image/kernel characterization.
+def green_class(f: OPMap, relation: str):
+    """The key of f's class under a Green's relation, by the image/kernel
+    characterization: R by kernel, L by image, H by f itself (H is
+    trivial) and J by rank."""
+    if relation == "R":
+        return kernel(f)
+    if relation == "L":
+        return image(f)
+    if relation == "H":
+        return f
+    if relation == "J":
+        return f.rank()
+    raise ValueError(f"unknown Green relation {relation!r}, expected one of {GREEN_RELATIONS}")
 
-    R compares kernels, L compares images, H is equality and J compares ranks.
-    """
+
+def green(f: OPMap, g: OPMap, relation: str) -> bool:
+    """Whether f and g are Green-related: their green_class keys agree."""
     if f.n != g.n:
         raise ValueError(f"maps on chains of size {f.n} and {g.n} are not comparable")
-    if relation == "R":
-        return kernel(f) == kernel(g)
-    if relation == "L":
-        return image(f) == image(g)
-    if relation == "H":
-        return f == g
-    if relation == "J":
-        return f.rank() == g.rank()
-    raise ValueError(f"unknown Green relation {relation!r}, expected one of {GREEN_RELATIONS}")
+    return green_class(f, relation) == green_class(g, relation)
 
 
 @lru_cache(maxsize=None)
@@ -529,10 +535,21 @@ def separator_idempotent(x_i: int, n: int) -> OPMap:
 
 def restrict(f: OPMap, a: Subset, codomain: Subset | None = None) -> SubMap:
     """The restriction of f to a, with codomain the image of the restriction
-    unless a larger one is declared."""
-    values = tuple(f(x) for x in a.elements)
-    cod = codomain if codomain is not None else Subset.of(f.n, values)
-    return SubMap(a, cod, values)
+    unless a larger one is declared.
+
+    A monotone map read along an increasing domain gives monotone values,
+    so the submap is built without re-validation; only a declared codomain
+    is checked to hold every value.
+    """
+    if a.n != f.n or (codomain is not None and codomain.n != f.n):
+        raise ValueError(f"cannot restrict a map on 1..{f.n} to subsets of another chain")
+    images = f.images
+    values = tuple([images[x - 1] for x in a.elements])
+    if codomain is None:
+        codomain = Subset.of(f.n, values)
+    elif not set(values).issubset(codomain.elements):
+        raise ValueError(f"values {values} not all in codomain {codomain}")
+    return SubMap._trusted(a, codomain, values)
 
 
 def extend_by_idempotent(f: SubMap) -> OPMap:

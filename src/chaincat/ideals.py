@@ -201,6 +201,7 @@ class RCategory(FiniteCategory):
     def __init__(self, n: int):
         super().__init__()
         self.n = check_chain_size(n)
+        self._inclusions: dict = {}
 
     def _compute_objects(self):
         return ordered_partitions(self.n)
@@ -235,8 +236,11 @@ class RCategory(FiniteCategory):
         return b.refines(a)
 
     def inclusion(self, a: OrderedPartition, b: OrderedPartition) -> RMorphism:
-        """Carried by block containment of b in a."""
-        return RMorphism(BlockMap.containment(b, a))
+        """Carried by block containment of b in a; built once per pair."""
+        key = (a, b)
+        if key not in self._inclusions:
+            self._inclusions[key] = RMorphism(BlockMap.containment(b, a))
+        return self._inclusions[key]
 
     def retraction(self, a: OrderedPartition, b: OrderedPartition) -> RMorphism:
         """Picks for each block of a the block of b holding its minimum."""

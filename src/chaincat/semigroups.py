@@ -1,6 +1,6 @@
 """Finite semigroups as explicit Cayley tables: construction with closure and
-associativity checking, regularity, an ideal-theoretic Green's oracle,
-homomorphism checking and backtracking isomorphism search."""
+associativity checking, regularity, a Green's oracle read off the Cayley
+graphs, homomorphism checking and backtracking isomorphism search."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import Callable, Sequence
 
 EXHAUSTIVE_ASSOC_LIMIT = 200
@@ -41,19 +42,14 @@ class FiniteSemigroup:
 
     def __post_init__(self):
         self._ideal_cache: dict = {}
+        self._green_labels: dict = {}
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def mul_elements(self, a, b):
         return self.elements[self.table[self.index[a]][self.index[b]]]
-
-    def idempotent_indices(self) -> list[int]:
-        return [i for i in range(self.order) if self.table[i][i] == i]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -73,6 +69,11 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
     fixed seed, beyond that.  The draws are the ones ``randrange(m)`` makes
     on ``random.Random(0)``: ``m.bit_length()`` random bits, redrawn while
     the value is not below m.
+
+    The exhaustive check compares whole rows: for each pair (i, j) the row
+    of i*j must equal row i read through row j, ``(i*j)*k = i*(j*k)`` for
+    every k at once.  A mismatching row is scanned for its first k, so the
+    witness is the first failing triple in (i, j, k) order.
     """
     elements = list(elements)
     index: dict = {}
@@ -92,20 +93,33 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
             row.append(k)
         table.append(row)
     if m <= EXHAUSTIVE_ASSOC_LIMIT:
-        for i in range(m):
-            ti = table[i]
-            for j in range(m):
-                t_ij = table[ti[j]]
-                tj = table[j]
-                for k in range(m):
-                    if t_ij[k] != ti[tj[k]]:
-                        raise AssociativityError(elements[i], elements[j], elements[k])
+        _check_rows_associative(elements, table)
     else:
         draws = filter(m.__gt__, map(random.Random(0).getrandbits, repeat(m.bit_length())))
         for i, j, k in islice(zip(draws, draws, draws), SAMPLED_ASSOC_TRIPLES):
             if table[table[i][j]][k] != table[i][table[j][k]]:
                 raise AssociativityError(elements[i], elements[j], elements[k])
     return FiniteSemigroup(elements, table, index)
+
+
+def _check_rows_associative(elements: list, table: list[list[int]]) -> None:
+    """Raise AssociativityError at the first (i, j, k) in order with
+    ``(i*j)*k != i*(j*k)``, comparing whole rows at a time."""
+    m = len(table)
+    if m == 1:
+        # Associative, its one product being its element; and itemgetter
+        # with a single index would return a bare value, not a row.
+        return
+    rows = [tuple(row) for row in table]
+    # through[j] reads a row at the entries of row j: row i through it is
+    # i*(j*k) over k.
+    through = [itemgetter(*row) for row in rows]
+    for i, ti in enumerate(rows):
+        for j, t_ij in enumerate(ti):
+            if through[j](ti) != rows[t_ij]:
+                tj, lhs = rows[j], rows[t_ij]
+                k = next(k for k in range(m) if lhs[k] != ti[tj[k]])
+                raise AssociativityError(elements[i], elements[j], elements[k])
 
 
 def is_regular(s: FiniteSemigroup) -> bool:
@@ -132,29 +146,76 @@ def _right_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
     return s._ideal_cache[key]
 
 
-def _two_sided_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    key = ("J", a)
-    if key not in s._ideal_cache:
-        out = set(_left_ideal(s, a)) | set(_right_ideal(s, a))
-        for x in range(s.order):
-            out.update(s.table[s.table[x][a]])
-        s._ideal_cache[key] = frozenset(out)
-    return s._ideal_cache[key]
+def _strong_components(successors: list) -> tuple[int, ...]:
+    """Label each vertex of a graph by the least vertex of its strongly
+    connected component.
+
+    ``successors[v]`` lists the heads of the edges out of v.  Tarjan's
+    algorithm, run with an explicit stack so that the depth of the graph
+    does not meet the recursion limit.
+    """
+    m = len(successors)
+    order = [-1] * m  # discovery number, -1 until discovered
+    low = [0] * m  # least discovery number reachable through the open path
+    label = [-1] * m  # -1 until the component is closed
+    open_vertices: list[int] = []
+    found = 0
+    for root in range(m):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        open_vertices.append(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = found
+                    found += 1
+                    open_vertices.append(w)
+                    path.append((w, iter(successors[w])))
+                    break
+                if label[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    start = open_vertices.index(v)
+                    component = open_vertices[start:]
+                    del open_vertices[start:]
+                    least = min(component)
+                    for w in component:
+                        label[w] = least
+    return tuple(label)
 
 
-def green_oracle(s: FiniteSemigroup, a, b, relation: str) -> bool:
-    """Green's relations computed from principal ideals, with no knowledge of
-    what the elements are."""
-    i, j = s.index[a], s.index[b]
-    if relation == "L":
-        return _left_ideal(s, i) == _left_ideal(s, j)
-    if relation == "R":
-        return _right_ideal(s, i) == _right_ideal(s, j)
-    if relation == "H":
-        return green_oracle(s, a, b, "L") and green_oracle(s, a, b, "R")
-    if relation == "J":
-        return _two_sided_ideal(s, i) == _two_sided_ideal(s, j)
-    raise ValueError(f"unknown Green relation {relation!r}")
+def green_oracle(s: FiniteSemigroup, relation: str) -> tuple:
+    """Green's classes read off the Cayley table, with no knowledge of what
+    the elements are: one class label per element index, cached on s.
+
+    In the right Cayley graph a -> a*x the vertices reachable from a are
+    aS^1, so a R b (aS^1 = bS^1) exactly when a and b are strongly connected
+    there.  Likewise L comes from the left graph a -> x*a, and J from the
+    union of both, whose reachable sets are S^1aS^1.  H is the pair of the L
+    and R labels.  A label is the least element index of its class (a pair
+    of those for H).
+    """
+    if relation not in ("R", "L", "H", "J"):
+        raise ValueError(f"unknown Green relation {relation!r}")
+    labels = s._green_labels
+    if not labels:
+        rows = [set(row) for row in s.table]
+        columns = [set(column) for column in zip(*s.table)]
+        labels["R"] = _strong_components(rows)
+        labels["L"] = _strong_components(columns)
+        labels["J"] = _strong_components([r | c for r, c in zip(rows, columns)])
+        labels["H"] = tuple(zip(labels["L"], labels["R"]))
+    return labels[relation]
 
 
 @dataclass

@@ -14,6 +14,7 @@ from chaincat.chain import (
     factorize_block_map,
     factorize_submap,
     green,
+    green_class,
     idempotent_for_image,
     idempotent_for_kernel,
     image,
@@ -146,6 +147,15 @@ class TestGreen:
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
             green(OPMap((1, 1, 2)), OPMap((1, 1, 2, 2)), "R")
+
+    def test_class_keys(self):
+        f = OPMap((1, 1, 3))
+        assert green_class(f, "R") == kernel(f) == OrderedPartition(3, (2, 1))
+        assert green_class(f, "L") == image(f) == Subset(3, (1, 3))
+        assert green_class(f, "H") == f
+        assert green_class(f, "J") == 2
+        with pytest.raises(ValueError):
+            green_class(f, "D")
 
 
 class TestEnumeration:
@@ -302,6 +312,22 @@ class TestRestrict:
     def test_declared_codomain(self):
         r = restrict(OPMap((1, 3, 3)), subset(3, 1, 2), codomain=subset(3, 1, 2, 3))
         assert r.codomain.elements == (1, 2, 3)
+
+    def test_declared_codomain_must_hold_every_value(self):
+        with pytest.raises(ValueError):
+            restrict(OPMap((1, 3, 3)), subset(3, 1, 2), codomain=subset(3, 1, 2))
+
+    @pytest.mark.parametrize("codomain", [None, Subset(4, (1, 2, 3))])
+    def test_subsets_of_another_chain(self, codomain):
+        with pytest.raises(ValueError):
+            restrict(OPMap((1, 3, 3)), Subset(4, (1, 2)), codomain=codomain)
+
+    def test_equals_the_validated_submap(self):
+        for f in enumerate_oxn(4):
+            for a in proper_subsets(4):
+                r = restrict(f, a)
+                checked = SubMap(a, Subset.of(4, r.values), tuple(f(x) for x in a.elements))
+                assert r == checked and hash(r) == hash(checked)
 
     def test_extension_restricts_back(self):
         f = SubMap(subset(4, 1, 3), subset(4, 2, 4), (2, 4))

@@ -1,6 +1,7 @@
 import pytest
 
 from chaincat.chain import (
+    BlockMap,
     OPMap,
     SubMap,
     Subset,
@@ -15,6 +16,8 @@ from chaincat.chain import (
 )
 from chaincat.cones import cone_mul, mset, validate_cone
 from chaincat.ideals import (
+    RCategory,
+    RMorphism,
     l_morphism_from_triple,
     r_compose,
     r_morphism_from_triple,
@@ -238,6 +241,15 @@ class TestRMorphisms:
         v = compose(compose(f, OPMap((1, 1, 1))), e)
         m = r_morphism_from_triple(e, v, f)
         assert m.eta.images == (0, 0)
+
+    def test_inclusion_built_once_per_pair(self):
+        cat = RCategory(4)
+        for a, b in cat.subobject_pairs():
+            m = cat.inclusion(a, b)
+            assert m == RMorphism(BlockMap.containment(b, a))
+            assert cat.inclusion(a, b) is m
+        with pytest.raises(ValueError):
+            cat.inclusion(*reversed(cat.subobject_pairs()[0]))
 
     def test_sandwich_membership_enforced(self):
         with pytest.raises(ValueError, match="sandwich"):

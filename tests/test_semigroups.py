@@ -48,11 +48,45 @@ def test_closure_error_names_witness():
     assert info.value.left == "a" and info.value.product == "b"
 
 
+def _first_nonassociative_triple(m, mul):
+    """The first (i, j, k) in order with (i*j)*k != i*(j*k), by the triple loop."""
+    table = [[mul(x, y) for y in range(m)] for x in range(m)]
+    return next(
+        (
+            (i, j, k)
+            for i in range(m)
+            for j in range(m)
+            for k in range(m)
+            if table[table[i][j]][k] != table[i][table[j][k]]
+        ),
+        None,
+    )
+
+
 def test_associativity_error_names_witness():
     # x*y = 1-y is closed but not associative: (x*y)*z = 1-z, x*(y*z) = z
     with pytest.raises(AssociativityError) as info:
         build([0, 1], lambda x, y: 1 - y)
     assert len(info.value.witness) == 3
+    assert info.value.witness == _first_nonassociative_triple(2, lambda x, y: 1 - y)
+
+
+@pytest.mark.parametrize(
+    "m,mul,expected",
+    [
+        # a left-zero band with z*z moved off z, z = 4: first fails on (z, 0, z)
+        (9, lambda x, y: 5 if x == y == 4 else x, (4, 0, 4)),
+        (5, lambda x, y: (x - y) % 5, (0, 0, 1)),
+        # x*y = max(x, y) but 3*3 = 0: (1*3)*3 = 0 while 1*(3*3) = 1
+        (EXHAUSTIVE_ASSOC_LIMIT, lambda x, y: 0 if x == y == 3 else max(x, y), (1, 3, 3)),
+    ],
+    ids=["planted-band", "difference", "planted-semilattice-at-limit"],
+)
+def test_exhaustive_associativity_names_the_first_failing_triple(m, mul, expected):
+    assert _first_nonassociative_triple(m, mul) == expected
+    with pytest.raises(AssociativityError) as info:
+        build(range(m), mul)
+    assert info.value.witness == expected
 
 
 def _reference_triples(m):
@@ -90,22 +124,62 @@ def test_is_regular():
     assert not is_regular(null2)
 
 
+def _related(s, a, b, relation):
+    labels = green_oracle(s, relation)
+    return labels[s.index[a]] == labels[s.index[b]]
+
+
+def _ideal_oracle(s):
+    """Green's relations by equality of principal ideals, pair by pair: the
+    oracle the Cayley-graph labels replaced, kept here as their reference."""
+    m, table = s.order, s.table
+    left = [frozenset(table[x][a] for x in range(m)) | {a} for a in range(m)]
+    right = [frozenset(table[a]) | {a} for a in range(m)]
+    both = []
+    for a in range(m):
+        ideal = set(left[a]) | right[a]
+        for x in range(m):
+            ideal.update(table[table[x][a]])
+        both.append(frozenset(ideal))
+
+    def related(i, j, relation):
+        if relation == "H":
+            return related(i, j, "L") and related(i, j, "R")
+        ideals = {"L": left, "R": right, "J": both}[relation]
+        return ideals[i] == ideals[j]
+
+    return related
+
+
+def _classes(s, relation):
+    groups: dict = {}
+    for i, label in enumerate(green_oracle(s, relation)):
+        groups.setdefault(label, set()).add(i)
+    return sorted(map(sorted, groups.values()))
+
+
 class TestGreenOracle:
     def test_frozen_examples(self):
         s = oxn_semigroup(3)
-        assert green_oracle(s, OPMap((1, 1, 2)), OPMap((2, 2, 3)), "R")
-        assert green_oracle(s, OPMap((1, 1, 2)), OPMap((1, 2, 2)), "L")
-        assert not green_oracle(s, OPMap((1, 1, 2)), OPMap((1, 1, 3)), "L")
+        assert _related(s, OPMap((1, 1, 2)), OPMap((2, 2, 3)), "R")
+        assert _related(s, OPMap((1, 1, 2)), OPMap((1, 2, 2)), "L")
+        assert not _related(s, OPMap((1, 1, 2)), OPMap((1, 1, 3)), "L")
 
     def test_reflexive(self):
         s = oxn_semigroup(3)
         for a in s.elements:
             for rel in "RLHJ":
-                assert green_oracle(s, a, a, rel)
+                assert _related(s, a, a, rel)
 
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
-            green_oracle(oxn_semigroup(3), OPMap((1, 1, 2)), OPMap((1, 1, 2)), "X")
+            green_oracle(oxn_semigroup(3), "X")
+
+    def test_one_label_per_element_cached(self):
+        s = oxn_semigroup(4)
+        for rel in "RLHJ":
+            assert len(green_oracle(s, rel)) == s.order
+            assert green_oracle(s, rel) is green_oracle(s, rel)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_agrees_with_characterization(self, n):
@@ -113,7 +187,29 @@ class TestGreenOracle:
         for a in s.elements:
             for b in s.elements:
                 for rel in "RLHJ":
-                    assert green(a, b, rel) == green_oracle(s, a, b, rel)
+                    assert green(a, b, rel) == _related(s, a, b, rel)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_agrees_with_the_ideal_oracle(self, n):
+        s = oxn_semigroup(n)
+        related = _ideal_oracle(s)
+        for rel in "RLHJ":
+            labels = green_oracle(s, rel)
+            for i in range(s.order):
+                for j in range(s.order):
+                    assert (labels[i] == labels[j]) == related(i, j, rel), (i, j, rel)
+
+    def test_left_zero_band(self):
+        # x*y = x: S^1 a = S, so L and J are universal; aS^1 = {a}
+        s = build(range(3), lambda x, y: x)
+        assert _classes(s, "L") == _classes(s, "J") == [[0, 1, 2]]
+        assert _classes(s, "R") == _classes(s, "H") == [[0], [1], [2]]
+
+    def test_min_semilattice(self):
+        # every principal ideal of a chain under min is its own down-set
+        s = build(range(3), min)
+        for rel in "RLHJ":
+            assert _classes(s, rel) == [[0], [1], [2]]
 
 
 class TestElementMap:

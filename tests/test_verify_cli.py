@@ -197,14 +197,14 @@ class TestFaultInjection:
         assert report.counts["expected"] == 34
 
     def test_flipped_characterization_fails_green(self, fresh_builds, monkeypatch):
-        green = chain.green
-        victim = (OPMap((1, 1, 2)), OPMap((1, 2, 2)), "L")
+        green_class = chain.green_class
+        victim = OPMap((1, 2, 2))
 
-        def planted(a, b, relation):
-            answer = green(a, b, relation)
-            return not answer if (a, b, relation) == victim else answer
+        def planted(a, relation):
+            # an L key of its own splits [1,2,2] from [1,1,2], same image
+            return ("planted", a) if (a, relation) == (victim, "L") else green_class(a, relation)
 
-        monkeypatch.setattr(chain, "green", planted)
+        monkeypatch.setattr(chain, "green_class", planted)
         report = run_check("green", 3)
         assert report.status == "fail"
         assert report.witness == {
