@@ -642,7 +642,11 @@ def factorize_block_map(eta: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
     sigma = fiber_coarsening(eta)
     gamma = image_absorption(eta)
     hit = sorted(set(eta.images))
-    zeta = BlockMap(gamma, eta.target, tuple(hit))
-    u = BlockMap(sigma, gamma, tuple(range(len(hit))))
-    v = BlockMap.containment(eta.source, sigma)
+    # The runs of eta.images are the blocks of sigma, one per hit image
+    # block: v sends each block to its run, and all three maps are valid by
+    # construction.
+    run_of = {j: r for r, j in enumerate(hit)}
+    zeta = BlockMap._trusted(gamma, eta.target, tuple(hit))
+    u = BlockMap._trusted(sigma, gamma, tuple(range(len(hit))))
+    v = BlockMap._trusted(eta.source, sigma, tuple(run_of[j] for j in eta.images))
     return zeta, u, v

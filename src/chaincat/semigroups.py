@@ -1,6 +1,7 @@
 """Finite semigroups as explicit Cayley tables: construction with closure and
 associativity checking, regularity, a Green's oracle read off the Cayley
-graphs, homomorphism checking and backtracking isomorphism search."""
+graphs, homomorphism checking and an isomorphism search over the images
+of a generating set."""
 
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ class FiniteSemigroup:
     index: dict = field(repr=False)
 
     def __post_init__(self):
-        self._ideal_cache: dict = {}
         self._green_labels: dict = {}
 
     @property
@@ -130,20 +130,6 @@ def is_regular(s: FiniteSemigroup) -> bool:
         if not any(s.table[ta[x]][a] == a for x in range(m)):
             return False
     return True
-
-
-def _left_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    key = ("L", a)
-    if key not in s._ideal_cache:
-        s._ideal_cache[key] = frozenset(s.table[x][a] for x in range(s.order)) | {a}
-    return s._ideal_cache[key]
-
-
-def _right_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    key = ("R", a)
-    if key not in s._ideal_cache:
-        s._ideal_cache[key] = frozenset(s.table[a]) | {a}
-    return s._ideal_cache[key]
 
 
 def _strong_components(successors: list) -> tuple[int, ...]:
@@ -274,97 +260,110 @@ def opposite(s: FiniteSemigroup) -> FiniteSemigroup:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search: joint iterated refinement of element invariants, then
-# backtracking restricted to matching invariant classes.
+# isomorphism search over the images of a greedy generating set
 
-def _initial_colors(s: FiniteSemigroup) -> list:
-    return [
-        (s.table[a][a] == a, len(_right_ideal(s, a)), len(_left_ideal(s, a)))
-        for a in range(s.order)
-    ]
+def _colors(s: FiniteSemigroup) -> list[tuple[bool, int, int]]:
+    """Isomorphism invariants of each element: idempotence, |aS^1|, |S^1a|."""
+    columns = list(zip(*s.table))
+    return [(row[a] == a, len({a, *row}), len({a, *columns[a]})) for a, row in enumerate(s.table)]
 
 
-def _joint_refine(s: FiniteSemigroup, t: FiniteSemigroup) -> tuple[list[int], list[int]]:
-    """Refine invariant classes of both semigroups against one shared palette,
-    so equal colors mean equal invariants across the two."""
+def _stage_products(placed: list[int], start: int, gens: list[int]):
+    """The pairs (x, h) whose products a new generator gens[-1] brings in: x
+    placed before ``start`` times it, then x from ``start`` on, those
+    appended meanwhile included, times every generator."""
+    for x in placed[:start]:
+        yield x, gens[-1]
+    for y in islice(placed, start, None):
+        for h in gens:
+            yield y, h
 
-    def signatures(g: FiniteSemigroup, colors: list) -> list:
-        sigs = []
-        for a in range(g.order):
-            row = g.table[a]
-            profile = sorted(
-                (colors[b], colors[row[b]], colors[g.table[b][a]]) for b in range(g.order)
-            )
-            sigs.append((colors[a], tuple(profile)))
-        return sigs
 
-    palette0 = {sig: c for c, sig in enumerate(sorted(set(_initial_colors(s) + _initial_colors(t))))}
-    cs = [palette0[sig] for sig in _initial_colors(s)]
-    ct = [palette0[sig] for sig in _initial_colors(t)]
-    while True:
-        sig_s, sig_t = signatures(s, cs), signatures(t, ct)
-        palette = {sig: c for c, sig in enumerate(sorted(set(sig_s + sig_t)))}
-        new_s = [palette[sig] for sig in sig_s]
-        new_t = [palette[sig] for sig in sig_t]
-        if len(set(new_s + new_t)) == len(set(cs + ct)):
-            return new_s, new_t
-        cs, ct = new_s, new_t
+def _generator_stages(s: FiniteSemigroup) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """A greedy generating set, largest image |aS| first, one stage per
+    generator g: g and a triple (x, parent, h), x = parent*h, h a generator,
+    for each element g makes newly reachable.  Each stage closes the reached
+    set under right products by all generators so far: O(m*|gens|) reads."""
+    reached = [False] * s.order
+    gens: list[int] = []
+    placed: list[int] = []  # reached elements, in the order they were reached
+    stages = []
+    for g in sorted(range(s.order), key=lambda a: (-len(set(s.table[a])), a)):
+        if not reached[g]:
+            start, derived = len(placed), []
+            gens.append(g)
+            reached[g] = True
+            placed.append(g)
+            for parent, h in _stage_products(placed, start, gens):
+                x = s.table[parent][h]
+                if not reached[x]:
+                    reached[x] = True
+                    placed.append(x)
+                    derived.append((x, parent, h))
+            stages.append((g, derived))
+    return stages
 
 
 def find_isomorphism(s: FiniteSemigroup, t: FiniteSemigroup) -> ElementMap | None:
     """Search for a bijective homomorphism, or return None.
 
-    Backtracks over assignments that respect the refined invariant classes,
-    checking every already-determined product along the way.
+    Branches on the image of each generator of ``_generator_stages(s)``
+    among the unused elements of t of its colour, on an explicit stack, and
+    derives the images its stage reaches, image[parent*h] =
+    image[parent]*image[h].  A branch is cut on a used or off-colour
+    derived image, or on a product of ``_stage_products`` that disagrees.
+
+    Complete: an isomorphism keeps colours, passes every cut and is fixed
+    by its generator images, which are tried in every combination.  Sound:
+    a map that passes every stage is injective, so bijective, and has
+    image[x*h] = image[x]*image[h] for every x and generator h.  For a word
+    w = h1...hk in the generators, induction on k gives image[x*w] =
+    image[x]*image[h1]...image[hk], with x = h1 also image[w] =
+    image[h1]...image[hk]; so image[x*w] = image[x]*image[w] when s and t
+    are associative.  Each full map is checked on every product all the
+    same, and the search goes on past one that fails, which only a table
+    that is not associative can bring about.
     """
-    if s.order != t.order:
+    s_colors, t_colors = _colors(s), _colors(t)
+    if Counter(s_colors) != Counter(t_colors):  # also when the orders differ
         return None
-    s_colors, t_colors = _joint_refine(s, t)
-    if Counter(s_colors) != Counter(t_colors):
-        return None
-    by_color: dict[int, list[int]] = {}
-    for ti, c in enumerate(t_colors):
-        by_color.setdefault(c, []).append(ti)
-    candidates = [by_color[c] for c in s_colors]
-    order = sorted(range(s.order), key=lambda i: (len(candidates[i]), i))
-
-    m = s.order
-    assignment: list[int | None] = [None] * m
-    used = [False] * t.order
-    assigned: list[int] = []
-
-    def consistent(i: int) -> bool:
-        ti = assignment[i]
-        for j in assigned:
-            tj = assignment[j]
-            pij, pji = s.table[i][j], s.table[j][i]
-            qij = assignment[pij]
-            if qij is not None and t.table[ti][tj] != qij:
-                return False
-            qji = assignment[pji]
-            if qji is not None and t.table[tj][ti] != qji:
-                return False
-        return True
-
-    def extend(pos: int) -> bool:
-        if pos == m:
-            return True
-        i = order[pos]
-        for ti in candidates[i]:
-            if used[ti]:
-                continue
-            assignment[i] = ti
-            used[ti] = True
-            assigned.append(i)
-            if consistent(i) and extend(pos + 1):
-                return True
-            assigned.pop()
-            used[ti] = False
-            assignment[i] = None
-        return False
-
-    if not extend(0):
-        return None
-    phi = ElementMap(s, t, tuple(assignment))
-    assert phi.is_bijective() and is_homomorphism(phi)
-    return phi
+    by_color: dict = {}
+    for b, c in enumerate(t_colors):
+        by_color.setdefault(c, []).append(b)
+    stages = _generator_stages(s)
+    gens = [g for g, _ in stages]
+    image, used = [-1] * s.order, [False] * t.order
+    placed: list[int] = []  # elements with an image, stage by stage
+    stack: list = []  # per open stage: its candidates left, len(placed) at its start
+    ok = True  # the newest stage passed its checks
+    while True:
+        if ok and len(stack) == len(stages):
+            phi = ElementMap(s, t, tuple(image))
+            if is_homomorphism(phi):  # fails only on a table that is not associative
+                assert phi.is_bijective()
+                return phi
+        elif ok:
+            stack.append((iter(by_color[s_colors[gens[len(stack)]]]), len(placed)))
+        elif not stack:
+            return None
+        candidates, start = stack[-1]
+        while len(placed) > start:  # only placed elements' images are read
+            used[image[placed.pop()]] = False
+        b = next(candidates, None)
+        ok = b is not None and not used[b]
+        if b is None:
+            stack.pop()
+        if not ok:
+            continue
+        g, derived = stages[len(stack) - 1]
+        image[g], used[b] = b, True
+        placed.append(g)
+        for x, parent, h in derived:
+            v = t.table[image[parent]][image[h]]
+            if used[v] or t_colors[v] != s_colors[x]:
+                ok = False
+                break
+            image[x], used[v] = v, True
+            placed.append(x)
+        pairs = _stage_products(placed, start, gens[: len(stack)])
+        ok = ok and all(image[s.table[x][h]] == t.table[image[x]][image[h]] for x, h in pairs)

@@ -33,6 +33,7 @@ from .semigroups import (
     FiniteSemigroup,
     build,
     find_isomorphism,
+    green_oracle,
     is_antihomomorphism,
     is_homomorphism,
     is_regular,
@@ -150,8 +151,6 @@ def check_green(n: int):
     Only a relation whose partitions differ is rescanned pair by pair, in
     (a, b, relation) order, for the first pair the two sides disagree on.
     """
-    from .semigroups import green_oracle
-
     s = oxn_semigroup(n)
     counts = {"elements": s.order, "pairs": s.order * s.order, "relations": 4}
     keys = {rel: [chain.green_class(a, rel) for a in s.elements] for rel in chain.GREEN_RELATIONS}
@@ -291,25 +290,23 @@ def check_cones_principal(n: int):
     return True, counts, None
 
 
-def _explicit_iso_check(ox: FiniteSemigroup, target: FiniteSemigroup, cone_of) -> tuple[ElementMap, bool, bool]:
-    assignment = tuple(target.index[cone_of(a)] for a in ox.elements)
-    phi = ElementMap(ox, target, assignment)
-    return phi, is_homomorphism(phi), phi.is_bijective()
-
-
-def check_tl_iso(n: int):
-    ox = oxn_semigroup(n)
-    tl = tl_semigroup(n)
-    cat = left_category(n)
-    phi, hom_ok, bij_ok = _explicit_iso_check(ox, tl, cat.principal_cone)
-    found = find_isomorphism(ox, tl)
+def _cone_iso_counts(ox: FiniteSemigroup, cones: FiniteSemigroup, principal_cone) -> tuple[dict, bool]:
+    """Check a -> principal_cone(a) explicitly and search for an isomorphism
+    of ox with the cone semigroup: the counts, and whether both succeeded."""
+    phi = ElementMap(ox, cones, tuple(cones.index[principal_cone(a)] for a in ox.elements))
+    hom_ok, bij_ok = is_homomorphism(phi), phi.is_bijective()
+    found = find_isomorphism(ox, cones)
     counts = {
-        "cones": tl.order,
+        "cones": cones.order,
         "explicit_homomorphism": int(hom_ok),
         "explicit_bijective": int(bij_ok),
         "search_found": int(found is not None),
     }
-    ok = hom_ok and bij_ok and found is not None
+    return counts, hom_ok and bij_ok and found is not None
+
+
+def check_tl_iso(n: int):
+    counts, ok = _cone_iso_counts(oxn_semigroup(n), tl_semigroup(n), left_category(n).principal_cone)
     if not ok:
         return False, counts, {"reason": "explicit or searched isomorphism with the cone semigroup failed"}
     return True, counts, None
@@ -317,25 +314,17 @@ def check_tl_iso(n: int):
 
 def check_tpo_iso(n: int):
     ox = oxn_semigroup(n)
-    tpo = tpo_semigroup(n)
     cat = powerset_category(n)
-    phi, hom_ok, bij_ok = _explicit_iso_check(ox, tpo, cat.principal_cone)
-    found = find_isomorphism(ox, tpo)
+    counts, ok = _cone_iso_counts(ox, tpo_semigroup(n), cat.principal_cone)
     unread = next((a for a in ox.elements if cone_to_opmap(cat.principal_cone(a)) != a), None)
-    counts = {
-        "cones": tpo.order,
-        "explicit_homomorphism": int(hom_ok),
-        "explicit_bijective": int(bij_ok),
-        "search_found": int(found is not None),
-        "roundtrip": int(unread is None),
-    }
+    counts["roundtrip"] = int(unread is None)
     if unread is not None:
         return False, counts, {
             "reason": "a principal cone does not read back as its map",
             "map": str(unread),
             "cone": cone_json(cat.principal_cone(unread)),
         }
-    if not (hom_ok and bij_ok and found is not None):
+    if not ok:
         return False, counts, {"reason": "cone semigroup over the subset category is not an isomorphic copy"}
     return True, counts, None
 

@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -9,6 +12,7 @@ from chaincat.semigroups import (
     EXHAUSTIVE_ASSOC_LIMIT,
     SAMPLED_ASSOC_TRIPLES,
     ElementMap,
+    FiniteSemigroup,
     build,
     find_isomorphism,
     green_oracle,
@@ -264,6 +268,82 @@ class TestFindIsomorphism:
 
     def test_order_mismatch(self):
         assert find_isomorphism(oxn_semigroup(3), oxn_semigroup(4)) is None
+
+    def test_all_three_element_semigroups_against_brute_force(self):
+        tables = []
+        for flat in itertools.product(range(3), repeat=9):
+            t = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+            if _associative(t):
+                tables.append(t)
+        assert len(tables) == 113
+        semigroups = [FiniteSemigroup([0, 1, 2], t, {0: 0, 1: 1, 2: 2}) for t in tables]
+        perms = list(itertools.permutations(range(3)))
+        for a in semigroups:
+            for b in semigroups:
+                brute = any(
+                    all(p[a.table[i][j]] == b.table[p[i]][p[j]] for i in range(3) for j in range(3))
+                    for p in perms
+                )
+                phi = find_isomorphism(a, b)
+                assert (phi is not None) == brute
+                if phi is not None:
+                    assert is_homomorphism(phi) and phi.is_bijective()
+
+    def test_search_needs_no_deep_recursion(self):
+        s = oxn_semigroup(5)
+        t = build(s.elements[::-1], compose)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            phi = find_isomorphism(s, t)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert phi is not None and is_homomorphism(phi) and phi.is_bijective()
+
+    def test_two_swapped_products_are_not_isomorphic(self):
+        # Swap two entries of one row of a relabelled OX_4 so that every
+        # element keeps its idempotence, |aS^1| and |S^1a|: the colours
+        # cannot tell the tables apart, and the swap breaks associativity,
+        # so no isomorphism with OX_4 exists.
+        s = oxn_semigroup(4)
+        t = build(s.elements[::-1], compose)
+        colors = _colors_by_hand(t.table)
+        for i, row in enumerate(t.table):
+            for j, k in itertools.combinations(range(t.order), 2):
+                if row[j] == row[k]:
+                    continue
+                table = [list(r) for r in t.table]
+                table[i][j], table[i][k] = row[k], row[j]
+                if _colors_by_hand(table) == colors and not _associative(table):
+                    planted = FiniteSemigroup(t.elements, table, t.index)
+                    assert find_isomorphism(s, planted) is None
+                    return
+        pytest.fail("no colour-preserving swap breaks associativity")
+
+    def test_empty_and_one_element(self):
+        empty = build([], lambda a, b: a)
+        phi = find_isomorphism(empty, empty)
+        assert phi is not None and phi.assignment == ()
+        one = build(["c"], lambda a, b: "c")
+        phi = find_isomorphism(one, one)
+        assert phi is not None and phi.assignment == (0,)
+
+
+def _associative(table) -> bool:
+    m = len(table)
+    return all(table[table[i][j]][k] == table[i][table[j][k]] for i in range(m) for j in range(m) for k in range(m))
+
+
+def _colors_by_hand(table) -> Counter:
+    """Idempotence, |aS^1| and |S^1a| of every element, as a multiset."""
+    m = len(table)
+    return Counter(
+        (table[a][a] == a, len({a} | {table[a][x] for x in range(m)}), len({a} | {table[x][a] for x in range(m)}))
+        for a in range(m)
+    )
 
 
 def test_opposite_and_antihomomorphism():
