@@ -182,6 +182,16 @@ class OrderedPartition:
     def identity(cls, n: int) -> OrderedPartition:
         return cls(n, (1,) * n)
 
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _shared(n: int, block_sizes: tuple[int, ...]) -> OrderedPartition:
+        """The one trusted instance for block sizes known to be valid, so
+        its blocks, cuts and block index are computed once per process."""
+        p = object.__new__(OrderedPartition)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "block_sizes", block_sizes)
+        return p
+
     @property
     def num_blocks(self) -> int:
         return len(self.block_sizes)
@@ -612,7 +622,7 @@ def fiber_coarsening(eta: BlockMap) -> OrderedPartition:
             sizes.append(run)
             run, current = size, j
     sizes.append(run)
-    return OrderedPartition(eta.source.n, tuple(sizes))
+    return OrderedPartition._shared(eta.source.n, tuple(sizes))
 
 
 def image_absorption(eta: BlockMap) -> OrderedPartition:
@@ -629,7 +639,7 @@ def image_absorption(eta: BlockMap) -> OrderedPartition:
         end = target.num_blocks - 1 if pos == len(hit) - 1 else i
         sizes.append(sum(target.block_sizes[start : end + 1]))
         start = end + 1
-    return OrderedPartition(target.n, tuple(sizes))
+    return OrderedPartition._shared(target.n, tuple(sizes))
 
 
 def factorize_block_map(eta: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:

@@ -3,10 +3,11 @@ normal cones.
 
 A category here is a provider object enumerating objects and hom-sets and
 supplying composition, designated inclusions with their retractions, and a
-deterministic normal factorization.  Cones are dense component tables, so
-every axiom can be checked exhaustively.  A cone holds each component as its
-code, an int position in the category's cone table for the vertex, so cone
-hashing, equality and products work on small ints.
+deterministic normal factorization.  Every axiom is checked exhaustively.  A
+valid cone is determined by its components at the maximal objects, so a cone
+holds only those, each as its code, an int position in the category's cone
+table for the vertex; cone hashing, equality and products work on a few
+small ints, and the other components are derived when asked for.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class FiniteCategory(ABC):
         self._positions: dict = {}
         self._hom_cache: dict = {}
         self._subobject_pairs: list | None = None
+        self._cone_frame: tuple | None = None
         self._cone_tables: dict = {}
 
     # -- enumeration ------------------------------------------------------
@@ -64,25 +66,41 @@ class FiniteCategory(ABC):
             ]
         return self._subobject_pairs
 
-    def cone_table(self, vertex) -> tuple:
-        """Every morphism into the vertex, numbered for coding cone components.
-
-        Returns ``(members, codes, starts)``: ``members`` concatenates
-        hom(obj, vertex) over the objects in objects() order, ``codes`` maps
-        each member to its index there, and the members with source
-        ``objects()[k]`` fill ``members[starts[k]:starts[k + 1]]``.  The
-        numbering follows the hom-set order, so two separately built copies of
-        a category code their cones alike.
-        """
+    def cone_table(self, vertex) -> "ConeTable":
+        """The coding of the cones with the given vertex (see ``ConeTable``),
+        built on first use; the maximal objects and their inclusions are
+        found once and shared by every vertex."""
         table = self._cone_tables.get(vertex)
         if table is None:
+            if self._cone_frame is None:
+                self._cone_frame = self._maximal_frame()
             members, starts = [], [0]
             for obj in self.objects():
                 members.extend(self.hom(obj, vertex))
                 starts.append(len(members))
-            codes = {f: i for i, f in enumerate(members)}
-            table = self._cone_tables[vertex] = (tuple(members), codes, tuple(starts))
+            table = self._cone_tables[vertex] = ConeTable(self, tuple(members), tuple(starts), *self._cone_frame)
         return table
+
+    def _maximal_frame(self) -> tuple:
+        """``(maximal, below, ancestor, inclusions)`` as described in
+        ``ConeTable``, with ``inclusions[i]`` the inclusions of the objects
+        of ``below[i]`` into ``maximal[i]``."""
+        objs = self.objects()
+        order = sorted(range(len(objs)), key=lambda k: self.object_sort_key(objs[k]))
+        maximal = [m for m in order if not any(b != objs[m] and self.leq(objs[m], b) for b in objs)]
+        lower = [x for x in order if x not in maximal]
+        below = [tuple([x for x in lower if self.leq(objs[x], objs[m])]) for m in maximal]
+        ancestor: list = [None] * len(objs)
+        for i, m in enumerate(maximal):
+            ancestor[m] = (i, None)
+        for i, xs in enumerate(below):
+            for slot, x in enumerate(xs):
+                if ancestor[x] is None:
+                    ancestor[x] = (i, slot)
+        inclusions = tuple(
+            tuple([self.inclusion(objs[x], objs[m]) for x in xs]) for m, xs in zip(maximal, below)
+        )
+        return tuple(maximal), tuple(below), tuple(ancestor), inclusions
 
     @abstractmethod
     def _compute_objects(self):
@@ -139,71 +157,144 @@ class FiniteCategory(ABC):
         ...
 
 
-def _code(table: tuple, k: int, f):
+def _code(table: "ConeTable", k: int, f):
     """The code of f as the component at ``objects()[k]``: its index in the
     vertex's cone table when f is in that object's hom-set into the vertex,
     else f itself, which no valid cone holds.  None marks a missing component."""
-    c = table[1].get(f) if f is not None else None
-    if c is not None and table[2][k] <= c < table[2][k + 1]:
+    c = table.codes.get(f) if f is not None else None
+    if c is not None and table.starts[k] <= c < table.starts[k + 1]:
         return c
     return f
+
+
+class ConeTable:
+    """The coding of the cones with one vertex.
+
+    ``members`` concatenates hom(obj, vertex) over the objects in objects()
+    order, ``codes`` maps each member to its index there, its code, and the
+    members with source ``objects()[k]`` fill
+    ``members[starts[k]:starts[k + 1]]``.  The numbering follows the hom-set
+    order, so two separately built copies of a category code their cones
+    alike.
+
+    A cone is determined by its components at the maximal objects, those
+    with no object strictly above them (see ``enumerate_normal_cones``).
+    ``maximal`` holds their positions in objects(), in ``object_sort_key``
+    order, and ``below[i]`` the positions of the other objects below
+    ``maximal[i]``, in the same order.  ``ancestor[k]`` is ``(i, slot)``
+    when ``maximal[i]`` is the first maximal object above object k and
+    ``below[i][slot]`` is k, and ``(i, None)`` when k is ``maximal[i]``.
+    ``restrictions(i, c)`` gives the codes of j(x, maximal[i])·f for the
+    member f with code c and each x in ``below[i]``; a member's row is
+    composed the first time it is asked for and kept with the table.
+    """
+
+    __slots__ = ("category", "members", "codes", "starts", "maximal", "below", "ancestor", "_inclusions", "_rows")
+
+    def __init__(self, category, members, starts, maximal, below, ancestor, inclusions):
+        self.category = category
+        self.members = members
+        self.codes = {f: i for i, f in enumerate(members)}
+        self.starts = starts
+        self.maximal = maximal
+        self.below = below
+        self.ancestor = ancestor
+        self._inclusions = inclusions
+        self._rows: dict = {}
+
+    def member(self, code):
+        return self.members[code] if type(code) is int else code
+
+    def restrictions(self, i: int, code) -> tuple:
+        row = self._rows.get(code)
+        if row is None:
+            f, compose = self.member(code), self.category.compose
+            row = tuple([_code(self, x, compose(j, f)) for x, j in zip(self.below[i], self._inclusions[i])])
+            if type(code) is int:
+                self._rows[code] = row
+        return row
+
+    def code_at(self, codes: tuple, k: int):
+        """The code at ``objects()[k]`` of the cone whose codes at the
+        maximal objects are ``codes``."""
+        i, slot = self.ancestor[k]
+        c = codes[i]
+        return c if slot is None or c is None else self.restrictions(i, c)[slot]
 
 
 class Cone:
     """An assignment of one morphism into a fixed vertex per object,
     compatible with inclusions.
 
-    Immutable: the components are held as a tuple of codes in objects()
-    order (see ``FiniteCategory.cone_table``), and ``components`` returns a
-    read-only mapping built on each access.  Cones over two separately built
-    copies of a category compare and hash equal when their components do;
-    cones over categories of different classes never compare equal.
-    An incomplete mapping or a component outside its hom-set is kept as
-    given, and such a cone fails ``validate_cone``.
+    Immutable: a cone holds the codes of its components at the maximal
+    objects (see ``ConeTable``), and ``component`` and ``components`` derive
+    the others by restriction; ``components`` is a read-only mapping built
+    on each access.  Cones over two separately built copies of a category
+    compare and hash equal when their maximal components do; cones over
+    categories of different classes never compare equal.
+
+    A cone built from a mapping is held to its independence guard: every
+    given component must equal the one derived from the maximal components,
+    so a wrong restriction table cannot agree with itself.  A mapping that
+    is incomplete, has a component outside its hom-set or disagrees with a
+    derived component is kept as given, and such a cone fails
+    ``validate_cone``.
     """
 
-    __slots__ = ("category", "vertex", "_at", "_table", "_codes", "_hash")
+    __slots__ = ("category", "vertex", "_at", "_table", "_codes", "_given", "_hash")
 
     def __init__(self, category: FiniteCategory, vertex, components: Mapping):
         at = category.position(vertex)
         for obj in components:
             category.position(obj)
         table = category.cone_table(vertex)
-        codes = tuple([_code(table, k, components.get(obj)) for k, obj in enumerate(category.objects())])
-        self._set(category, vertex, at, table, codes)
+        given = tuple([_code(table, k, components.get(obj)) for k, obj in enumerate(category.objects())])
+        codes = tuple([given[k] for k in table.maximal])
+        derived = all(type(c) is int for c in codes) and all(table.code_at(codes, k) == c for k, c in enumerate(given))
+        self._set(category, vertex, at, table, codes, None if derived else given)
 
     @classmethod
-    def _coded(cls, category, vertex, at: int, table: tuple, codes: tuple) -> "Cone":
+    def _coded(cls, category, vertex, at: int, table: ConeTable, codes: tuple) -> "Cone":
         cone = cls.__new__(cls)
-        cone._set(category, vertex, at, table, codes)
+        cone._set(category, vertex, at, table, codes, None)
         return cone
 
-    def _set(self, category, vertex, at, table, codes):
+    def _set(self, category, vertex, at, table, codes, given):
         init = object.__setattr__
         init(self, "category", category)
         init(self, "vertex", vertex)
         init(self, "_at", at)
         init(self, "_table", table)
         init(self, "_codes", codes)
+        init(self, "_given", given)
         init(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("cones are immutable")
 
-    def _member(self, code):
-        return self._table[0][code] if type(code) is int else code
+    def _code_at(self, k: int):
+        if self._given is not None:
+            return self._given[k]
+        return self._table.code_at(self._codes, k)
+
+    def _all_codes(self) -> tuple:
+        """The code at every object, in objects() order."""
+        if self._given is not None:
+            return self._given
+        return tuple([self._table.code_at(self._codes, k) for k in range(len(self.category.objects()))])
 
     def component(self, obj):
-        code = self._codes[self.category.position(obj)]
+        code = self._code_at(self.category.position(obj))
         if code is None:
             raise KeyError(obj)
-        return self._member(code)
+        return self._table.member(code)
 
     @property
     def components(self) -> Mapping:
         """A read-only mapping from each object to its component."""
+        member = self._table.member
         return MappingProxyType(
-            {obj: self._member(c) for obj, c in zip(self.category.objects(), self._codes) if c is not None}
+            {obj: member(c) for obj, c in zip(self.category.objects(), self._all_codes()) if c is not None}
         )
 
     def __eq__(self, other):
@@ -212,6 +303,7 @@ class Cone:
         return (
             self._codes == other._codes
             and self.vertex == other.vertex
+            and self._given == other._given
             and type(self.category) is type(other.category)
         )
 
@@ -221,20 +313,29 @@ class Cone:
         return self._hash
 
     def __repr__(self):
-        present = sum(c is not None for c in self._codes)
+        present = sum(c is not None for c in self._all_codes())
         return f"Cone(vertex={self.category.object_label(self.vertex)}, {present} components)"
 
 
 def validate_cone(cone: Cone) -> bool:
     """Check both cone axioms: components land in the vertex hom-sets and
-    restrict correctly along every inclusion."""
-    if not all(type(c) is int for c in cone._codes):
+    restrict correctly along every inclusion.
+
+    A cone kept as given fails.  Otherwise the components at the maximal
+    objects must lie in their hom-sets, and at every other object the
+    restrictions from all its maximal ancestors must agree and lie in its
+    hom-set; by the argument in ``enumerate_normal_cones`` these are all the
+    cone conditions.
+    """
+    if cone._given is not None or not all(type(c) is int for c in cone._codes):
         return False
-    cat = cone.category
-    components = cone.components
-    for a, b in cat.subobject_pairs():
-        if cat.compose(cat.inclusion(a, b), components[b]) != components[a]:
-            return False
+    table = cone._table
+    rows = [table.restrictions(i, c) for i, c in enumerate(cone._codes)]
+    for row, below in zip(rows, table.below):
+        for code, k in zip(row, below):
+            i, slot = table.ancestor[k]
+            if type(code) is not int or code != rows[i][slot]:
+                return False
     return True
 
 
@@ -260,8 +361,8 @@ class _Products:
     ``steps[v][s]`` is the step of the second cone's component with code
     ``s`` in the cone table of vertex position ``v``: the epimorphic part of
     that component, shared by every component with the same epimorphic part,
-    with its target vertex and ``products``, the code of each first-cone
-    component composed with it.
+    with its target vertex and ``products``, the code of each maximal
+    first-cone component composed with it.
     """
 
     __slots__ = ("steps", "by_epi")
@@ -275,9 +376,10 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     """Multiply two normal cones: compose every component of the first with
     the epimorphic part of the second's component at the first vertex.
 
-    ``memo`` carries factorizations and component products from one call to
-    the next; every entry is computed by the category's ``normal_factorize``
-    and ``compose``.
+    Only the components at the maximal objects are composed; the product
+    derives the others from them.  ``memo`` carries factorizations and
+    component products from one call to the next; every entry is computed by
+    the category's ``normal_factorize`` and ``compose``.
     """
     if gamma.category is not sigma.category:
         raise ValueError("cones live over different categories")
@@ -287,12 +389,12 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     steps = memo.steps.get(sigma._at)
     if steps is None:
         steps = memo.steps[sigma._at] = {}
-    s = sigma._codes[gamma._at]
+    s = sigma._code_at(gamma._at)
     step = steps.get(s)
     if step is None:
         if s is None:
             raise KeyError(gamma.vertex)
-        q, u, _ = cat.normal_factorize(sigma._member(s))
+        q, u, _ = cat.normal_factorize(sigma._table.member(s))
         epi = cat.compose(q, u)
         step = memo.by_epi.get(epi)
         if step is None:
@@ -300,12 +402,12 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
             step = memo.by_epi[epi] = (epi, v, cat.position(v), cat.cone_table(v), {})
         steps[s] = step
     epi, vertex, at, table, products = step
-    members = gamma._table[0]
+    member = gamma._table.member
     codes = []
-    for k, c in enumerate(gamma._codes):
+    for k, c in zip(table.maximal, gamma._codes):
         p = products.get(c)
         if p is None and c is not None:
-            p = _code(table, k, cat.compose(members[c] if type(c) is int else c, epi))
+            p = _code(table, k, cat.compose(member(c), epi))
             if type(c) is int:
                 products[c] = p
         codes.append(p)
@@ -341,54 +443,44 @@ def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
     = j(x, m)·comp[m] by the inclusion-composition axiom (which the
     factorize checks verify).  Every cone condition therefore reduces to the
     maximal ancestors of each object agreeing, and every cone arises from
-    the branch given by its maximal components.  The restriction of each
-    f in hom(m, vertex) to every object below m is composed once, up front,
-    and the search compares small ints standing for those restrictions.
+    the branch given by its maximal components.  The search compares the
+    codes of the restrictions in the vertex's cone table, composed once per
+    member of hom(m, vertex).
 
     Uses only ``hom``, ``leq``, ``inclusion``, ``compose`` and
     ``is_isomorphism``, so it stays independent of any principal cones.
     Cones come out in lexicographic order of their maximal components, the
     maximal objects taken in ``object_sort_key`` order.
     """
-    objs = sorted(category.objects(), key=category.object_sort_key)
-    maximal = [m for m in objs if not any(b != m and category.leq(m, b) for b in objs)]
-    lower = [x for x in objs if x not in maximal]
-    # sets[i] / checks[i]: the lower objects whose first / a later maximal
-    # ancestor is maximal[i], as (slot in the rows of maximal[i], index into
-    # lower); rows[i] pairs each f in hom(maximal[i], vertex) with the ids
-    # of its restrictions.
-    sets: list[list[tuple[int, int]]] = [[] for _ in maximal]
-    checks: list[list[tuple[int, int]]] = [[] for _ in maximal]
-    placed: set[int] = set()
-    ids: dict = {}
-    rows: list[list[tuple]] = []
-    for i, m in enumerate(maximal):
-        below = [(k, category.inclusion(x, m)) for k, x in enumerate(lower) if category.leq(x, m)]
-        for slot, (k, _) in enumerate(below):
-            (checks if k in placed else sets)[i].append((slot, k))
-            placed.add(k)
-        rows.append([
-            (f, tuple([ids.setdefault(category.compose(j, f), len(ids)) for _, j in below]))
-            for f in category.hom(m, vertex)
-        ])
-    morphisms = list(ids)
-    current: list[int | None] = [None] * len(lower)
-    chosen: list = [None] * len(maximal)
+    table = category.cone_table(vertex)
+    at = category.position(vertex)
+    ancestor, member = table.ancestor, table.member
+    # rows[i] pairs the code of each f in hom(maximal[i], vertex) with the
+    # codes of its restrictions; sets[i] / checks[i] hold the (slot, object)
+    # pairs of below[i] whose first / a later maximal ancestor is maximal[i].
+    rows = [
+        [(c, table.restrictions(i, c)) for c in range(table.starts[m], table.starts[m + 1])]
+        for i, m in enumerate(table.maximal)
+    ]
+    sets = [[(slot, k) for slot, k in enumerate(xs) if ancestor[k][0] == i] for i, xs in enumerate(table.below)]
+    checks = [[(slot, k) for slot, k in enumerate(xs) if ancestor[k][0] != i] for i, xs in enumerate(table.below)]
+    lower = [k for k, (_, slot) in enumerate(ancestor) if slot is not None]
+    current: list = [None] * len(ancestor)
+    chosen: list = [None] * len(rows)
     found: list[Cone] = []
 
     def assign(i: int):
-        if i == len(maximal):
-            components = dict(zip(maximal, chosen))
-            components.update((x, morphisms[c]) for x, c in zip(lower, current))
-            if any(category.is_isomorphism(f) for f in components.values()):
-                found.append(Cone(category, vertex, components))
+        if i == len(rows):
+            codes = chosen + [current[k] for k in lower]
+            if any(category.is_isomorphism(member(c)) for c in codes):
+                found.append(Cone._coded(category, vertex, at, table, tuple(chosen)))
             return
-        for f, row in rows[i]:
+        for c, row in rows[i]:
             if any(row[slot] != current[k] for slot, k in checks[i]):
                 continue
             for slot, k in sets[i]:
                 current[k] = row[slot]
-            chosen[i] = f
+            chosen[i] = c
             assign(i + 1)
 
     assign(0)

@@ -432,7 +432,7 @@ CHECKS: dict[str, CheckDef] = {
     "factorize-L": CheckDef(check_factorize_l, 3, 4),
     "factorize-Po": CheckDef(check_factorize_po, 3, 4),
     "factorize-Pi": CheckDef(check_factorize_pi, 3, 6),
-    "cones-principal": CheckDef(check_cones_principal, 3, 5),
+    "cones-principal": CheckDef(check_cones_principal, 3, 6),
     "TL-iso": CheckDef(check_tl_iso, 3, 5),
     "F-iso": CheckDef(check_f_iso, 3, 6),
     "G-iso": CheckDef(check_g_iso, 3, 6),

@@ -73,7 +73,7 @@ def test_criterion_03_normal_category_axioms():
 
 
 def test_criterion_04_all_normal_cones_principal():
-    ok, detail, elapsed = _run("cones-principal", (3, 4, 5))
+    ok, detail, elapsed = _run("cones-principal", (3, 4, 5, 6))
     _line("4-cones-principal", ok, detail, elapsed)
     assert ok
     assert elapsed < 60_000

@@ -5,7 +5,7 @@ or a composed product."""
 import pytest
 
 from chaincat import verify
-from chaincat.cones import Cone, cone_json, cone_mul
+from chaincat.cones import Cone, cone_json, cone_mul, validate_cone
 from chaincat.chain import (
     BlockMap,
     OPMap,
@@ -15,6 +15,7 @@ from chaincat.chain import (
     enumerate_oxn,
     idempotent_for_image,
     idempotent_for_kernel,
+    image,
 )
 from chaincat.ideals import (
     LCategory,
@@ -41,8 +42,7 @@ def _plain_product(cat, gamma: dict, gamma_vertex, sigma: dict):
     return epi.target, {obj: cat.compose(g, epi) for obj, g in gamma.items()}
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("label", list(TABLES))
+@pytest.mark.parametrize("label,n", [(label, n) for label in TABLES for n in (3, 4)] + [("L", 5), ("R", 5)])
 def test_cone_table_matches_plain_products(label, n):
     make_category, make_semigroup = TABLES[label]
     cat, s = make_category(n), make_semigroup(n)
@@ -185,9 +185,42 @@ def test_cone_regular_fails_on_one_wrong_product(fresh_builds, monkeypatch):
     wrong = next(m for m in cat.hom(g.source, epi.target) if m != right)
     escaped = dict(cone_mul(gamma, sigma).components)
     escaped[g.source] = wrong
+    # the product derives its component at {3}, whose first maximal ancestor
+    # is {1,3}, by restricting the wrong one
+    three = Subset(3, (3,))
+    escaped[three] = cat.compose(cat.inclusion(three, g.source), wrong)
 
     hits = _plant(monkeypatch, PowersetCategory, "compose", (g, epi), lambda _: wrong)
     report = _assert_fails("cone-regular", 3, hits)
     assert report.witness["left"] == cone_json(gamma)
     assert report.witness["right"] == cone_json(sigma)
     assert report.witness["product"] == cone_json(Cone(cat, epi.target, escaped))
+    assert report.witness["product"]["components"]["{3}"] == "[1]"
+
+
+def test_tl_iso_fails_on_a_wrong_restriction_code(fresh_builds):
+    # one wrong restriction code in the cone table of {1,2}: {1} lies first
+    # under {1,2}, and the restriction to {1} of the component of the
+    # principal cone of [1,1,2] at {1,2} is coded as another member of
+    # hom({1}, {1,2})
+    cat = verify.left_category(3)
+    alpha = OPMap((1, 1, 2))
+    mapping = dict(cat.principal_cone(alpha).components)
+    table = cat.cone_table(image(alpha))
+    top, one = Subset(3, (1, 2)), Subset(3, (1,))
+    i = next(i for i, m in enumerate(table.maximal) if cat.objects()[m] == top)
+    slot = table.below[i].index(cat.position(one))
+    assert table.ancestor[cat.position(one)] == (i, slot)
+    code = table.codes[mapping[top]]
+    row = table.restrictions(i, code)
+    k = cat.position(one)
+    wrong = next(c for c in range(table.starts[k], table.starts[k + 1]) if c != row[slot])
+    table._rows[code] = row[:slot] + (wrong,) + row[slot + 1 :]
+
+    # the mapping disagrees with the derived component, so it is kept as given
+    cone = cat.principal_cone(alpha)
+    assert dict(cone.components) == mapping
+    assert not validate_cone(cone)
+    report = verify.run_check("TL-iso", 3)
+    assert report.status == "fail"
+    assert report.witness == {"exception": "ValueError: input Cone(vertex={1,2}, 6 components) is not a normal cone"}

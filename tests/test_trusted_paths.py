@@ -16,7 +16,9 @@ from chaincat.chain import (
     Subset,
     compose,
     enumerate_oxn,
+    fiber_coarsening,
     image,
+    image_absorption,
     kernel,
 )
 from chaincat.ideals import r_canonical
@@ -145,3 +147,12 @@ def test_cached_kernel_and_image_match_a_fresh_computation():
         fresh_kernel = OrderedPartition(5, tuple(len(list(run)) for _, run in groupby(f.images)))
         assert image(f) == fresh_image and kernel(f) == fresh_kernel
         assert image(f) is image(f) and kernel(f) is kernel(f)
+
+
+def test_coarsenings_are_shared_validated_partitions():
+    cat = partition_category(4)
+    etas = [m.eta for a in cat.objects() for b in cat.objects() for m in cat.hom(a, b)]
+    for p in [f(eta) for eta in etas for f in (fiber_coarsening, image_absorption)]:
+        checked = OrderedPartition(p.n, p.block_sizes)
+        assert p == checked and hash(p) == hash(checked) and p.blocks == checked.blocks
+        assert p is OrderedPartition._shared(p.n, p.block_sizes)
