@@ -569,7 +569,6 @@ def extend_by_idempotent(f: SubMap) -> OPMap:
     return OPMap(tuple(f(e(x)) for x in range(1, f.domain.n + 1)))
 
 
-@lru_cache(maxsize=None)
 def submaps_between(a: Subset, b: Subset) -> tuple[SubMap, ...]:
     """All order-preserving maps a -> b, lexicographically by value sequence."""
     return tuple(
@@ -578,7 +577,6 @@ def submaps_between(a: Subset, b: Subset) -> tuple[SubMap, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def block_maps_between(p: OrderedPartition, q: OrderedPartition) -> tuple[BlockMap, ...]:
     """All order-preserving block maps p -> q, lexicographically."""
     return tuple(

@@ -241,7 +241,7 @@ class Cone:
     ``validate_cone``.
     """
 
-    __slots__ = ("category", "vertex", "_at", "_table", "_codes", "_given", "_hash")
+    __slots__ = ("category", "vertex", "_at", "_table", "_codes", "_given")
 
     def __init__(self, category: FiniteCategory, vertex, components: Mapping):
         at = category.position(vertex)
@@ -267,7 +267,6 @@ class Cone:
         init(self, "_table", table)
         init(self, "_codes", codes)
         init(self, "_given", given)
-        init(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("cones are immutable")
@@ -308,9 +307,7 @@ class Cone:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.vertex, self._codes)))
-        return self._hash
+        return hash((self.vertex, self._codes))
 
     def __repr__(self):
         present = sum(c is not None for c in self._all_codes())

@@ -206,9 +206,6 @@ class RCategory(FiniteCategory):
     def _compute_objects(self):
         return ordered_partitions(self.n)
 
-    def representative_idempotent(self, a: OrderedPartition) -> OPMap:
-        return idempotent_for_kernel(a)
-
     def _compute_hom(self, a: OrderedPartition, b: OrderedPartition):
         """hom(a, b) as the canonical forms of the sandwich set f*S*e (f, e
         the representative idempotents of b, a), in order of first
@@ -217,10 +214,10 @@ class RCategory(FiniteCategory):
         Fills the whole column hom(., b) at once from the distinct one-sided
         products f*s, which are dropped afterwards.
         """
-        f = self.representative_idempotent(b)
+        f = idempotent_for_kernel(b)
         right = dict.fromkeys([compose_maps(f, s) for s in enumerate_oxn(self.n)])
         for c in self.objects():
-            e = self.representative_idempotent(c)
+            e = idempotent_for_kernel(c)
             column = dict.fromkeys([r_canonical(c, b, compose_maps(y, e)) for y in right])
             self._hom_cache.setdefault((c, b), tuple(column))
         return self._hom_cache[(a, b)]

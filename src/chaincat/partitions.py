@@ -13,14 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .chain import (
-    OPMap,
-    OrderedPartition,
-    block_maps_between,
-    idempotent_for_kernel,
-)
+from .chain import OPMap, OrderedPartition, block_maps_between
 from .cones import Cone
-from .ideals import RCategory, RMorphism, r_canonical
+from .ideals import RCategory, RMorphism
 from .ideals import factorize_pi  # noqa: F401  re-exported: the normal factorization here
 
 
@@ -67,21 +62,20 @@ class PartitionCategory(RCategory):
     def _compute_hom(self, p: OrderedPartition, q: OrderedPartition):
         return [RMorphism(eta) for eta in block_maps_between(q, p)]
 
-    def idempotent_cone(self, vertex: OrderedPartition) -> Cone:
-        return self.idempotent_pi_cone(vertex, idempotent_for_kernel(vertex))
-
     def morphism_label(self, m: RMorphism) -> str:
         return str(m.eta)
 
     def idempotent_pi_cone(self, vertex: OrderedPartition, u: OPMap) -> Cone:
         """The cone at the vertex induced by a map u that is constant on each
         vertex block and whose image is a cross-section of the vertex
-        partition; the vertex component is the identity."""
+        partition; the vertex component is the identity.  The two conditions
+        make the vertex the kernel of u, so this is the dual principal cone
+        of u."""
         for block in vertex.blocks:
             value = u(block[0])
             if any(u(x) != value for x in block):
                 raise ValueError(f"{u} is not constant on block {block}")
             if value not in block:
                 raise ValueError(f"image of {u} is not a cross-section of {vertex}")
-        return Cone(self, vertex, {obj: r_canonical(obj, vertex, u) for obj in self.objects()})
+        return self.dual_principal_cone(u)
 

@@ -6,15 +6,7 @@ computed from sandwich sets; the F-iso check compares the two sources."""
 
 from __future__ import annotations
 
-from .chain import (
-    OPMap,
-    SubMap,
-    Subset,
-    idempotent_for_image,
-    image,
-    restrict,
-    submaps_between,
-)
+from .chain import OPMap, SubMap, Subset, image, submaps_between
 from .cones import Cone, mset
 from .ideals import LCategory
 
@@ -30,22 +22,19 @@ class PowersetCategory(LCategory):
     def _compute_hom(self, a: Subset, b: Subset):
         return submaps_between(a, b)
 
-    def idempotent_cone(self, vertex: Subset) -> Cone:
-        return self.vertex_cone(vertex, idempotent_for_image(vertex))
-
     def morphism_label(self, f: SubMap) -> str:
         return str(f)
 
     def vertex_cone(self, a: Subset, u: OPMap) -> Cone:
         """The cone at vertex a whose components restrict a map u that fixes
         a pointwise and lands inside it; its vertex component is the
-        identity, so it is idempotent under cone multiplication."""
+        identity, so it is idempotent under cone multiplication.  The two
+        conditions make a the image of u, so this is the principal cone of u."""
         if any(u(x) != x for x in a):
             raise ValueError(f"{u} does not fix {a} pointwise")
         if not image(u).issubset(a):
             raise ValueError(f"image of {u} is not contained in {a}")
-        components = {b: restrict(u, b, codomain=a) for b in self.objects()}
-        return Cone(self, a, components)
+        return self.principal_cone(u)
 
 
 def cone_to_opmap(gamma: Cone) -> OPMap:

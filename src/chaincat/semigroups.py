@@ -242,14 +242,7 @@ def is_homomorphism(phi: ElementMap) -> bool:
 
 def is_antihomomorphism(phi: ElementMap) -> bool:
     """True when phi reverses products: phi(a*b) = phi(b)*phi(a)."""
-    src, tgt, f = phi.source, phi.target, phi.assignment
-    m = src.order
-    for i in range(m):
-        row = src.table[i]
-        for j in range(m):
-            if f[row[j]] != tgt.table[f[j]][f[i]]:
-                return False
-    return True
+    return is_homomorphism(ElementMap(phi.source, opposite(phi.target), phi.assignment))
 
 
 def opposite(s: FiniteSemigroup) -> FiniteSemigroup:

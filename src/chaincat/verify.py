@@ -9,7 +9,7 @@ these.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -24,7 +24,7 @@ from .cones import (
     enumerate_normal_cones,
 )
 from .ideals import LCategory, RCategory, RMorphism, phi_representation
-from .partitions import PartitionCategory, factorize_pi
+from .partitions import PartitionCategory
 from .powerset import PowersetCategory, cone_to_opmap
 from .semigroups import (
     AssociativityError,
@@ -112,14 +112,7 @@ class CheckReport:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "status": self.status,
-            "counts": self.counts,
-            "witness": self.witness,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +224,10 @@ def _gamma_oracle(eta: BlockMap) -> OrderedPartition:
 
 
 def _check_pi_factorization(cat: PartitionCategory, m: RMorphism) -> dict | None:
-    q, u, v = factorize_pi(m)
+    """Compare the normal factorization's middle objects with the two
+    independent oracles; the axiom pass has already checked that it
+    recomposes and has the right kinds of factors."""
+    q, _, v = cat.normal_factorize(m)
 
     def fail(reason: str) -> dict:
         return {"reason": reason, "morphism": cat.morphism_label(m)}
@@ -240,14 +236,6 @@ def _check_pi_factorization(cat: PartitionCategory, m: RMorphism) -> dict | None
         return fail("fiber coarsening disagrees with oracle")
     if q.target != _gamma_oracle(m.eta):
         return fail("image absorption disagrees with oracle")
-    if cat.compose(cat.compose(q, u), v) != m:
-        return fail("factorization does not recompose")
-    if not cat.is_isomorphism(u):
-        return fail("middle factor is not an isomorphism")
-    if cat.compose(cat.inclusion(q.target, m.source), q) != cat.identity(q.target):
-        return fail("first factor does not split its inclusion")
-    if v != cat.inclusion(v.source, v.target):
-        return fail("last factor is not the designated inclusion")
     return None
 
 
@@ -393,19 +381,17 @@ def check_cone_regular(n: int):
     ):
         results[f"{label}_order"] = s.order
         results[f"{label}_regular"] = int(is_regular(s))
-        criterion_ok = True
-        for i, cone in enumerate(s.elements):
-            idem = s.table[i][i] == i
-            vertex_identity = cone.component(cone.vertex) == cat.identity(cone.vertex)
-            if idem != vertex_identity:
-                criterion_ok = False
-                witness = {
-                    "reason": "idempotence criterion fails",
-                    "semigroup": label,
-                    "cone": cone_json(cone),
-                }
-                break
-        results[f"{label}_idempotence_criterion"] = int(criterion_ok)
+        wrong = next(
+            (
+                cone
+                for i, cone in enumerate(s.elements)
+                if (s.table[i][i] == i) != (cone.component(cone.vertex) == cat.identity(cone.vertex))
+            ),
+            None,
+        )
+        results[f"{label}_idempotence_criterion"] = int(wrong is None)
+        if wrong is not None and witness is None:
+            witness = {"reason": "idempotence criterion fails", "semigroup": label, "cone": cone_json(wrong)}
     ok = all(
         results[k] == 1
         for k in results

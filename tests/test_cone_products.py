@@ -198,6 +198,28 @@ def test_cone_regular_fails_on_one_wrong_product(fresh_builds, monkeypatch):
     assert report.witness["product"]["components"]["{3}"] == "[1]"
 
 
+def test_cone_regular_names_the_first_failing_semigroup(fresh_builds, monkeypatch):
+    # a wrong identity at every two-element subset breaks the idempotence
+    # criterion in TL and in TPo alike; the witness names TL, checked first
+    def planted(base):
+        class Planted(base):
+            def identity(self, a):
+                ident = super().identity(a)
+                if len(a) != 2:
+                    return ident
+                return next(f for f in self.hom(a, a) if f != ident)
+
+        return Planted(3)
+
+    for builder, base in (("left_category", LCategory), ("powerset_category", PowersetCategory)):
+        monkeypatch.setattr(verify, builder, lambda n, cat=planted(base): cat)
+    report = verify.run_check("cone-regular", 3)
+    assert report.status == "fail"
+    assert report.counts["TL_idempotence_criterion"] == report.counts["TPo_idempotence_criterion"] == 0
+    assert report.witness["reason"] == "idempotence criterion fails"
+    assert report.witness["semigroup"] == "TL"
+
+
 def test_tl_iso_fails_on_a_wrong_restriction_code(fresh_builds):
     # one wrong restriction code in the cone table of {1,2}: {1} lies first
     # under {1,2}, and the restriction to {1} of the component of the

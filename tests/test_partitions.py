@@ -210,13 +210,14 @@ class TestIdempotentPiCone:
         with pytest.raises(ValueError, match="cross-section"):
             cat.idempotent_pi_cone(pobj(3, 2, 1), OPMap((3, 3, 3)))
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_all_vertex_idempotent_pairs(self, n):
         cat = partition_category(n)
         for vertex in cat.objects():
             for u in enumerate_oxn(n):
                 if u.is_idempotent() and kernel(u) == vertex:
                     c = cat.idempotent_pi_cone(vertex, u)
+                    assert c == cat.dual_principal_cone(u)
                     assert validate_cone(c) and mset(c)
                     assert c.components[vertex].eta.is_identity()
                     assert cone_mul(c, c) == c

@@ -100,6 +100,8 @@ class TestConeToOPMap:
         cat = powerset_category(n)
         for a in enumerate_oxn(n):
             assert cone_to_opmap(cat.principal_cone(a)) == a
+            if a.is_idempotent():
+                assert cat.vertex_cone(image(a), a) == cat.principal_cone(a)
 
     def test_non_normal_rejected(self):
         cat = powerset_category(3)

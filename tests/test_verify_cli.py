@@ -15,6 +15,7 @@ from chaincat.chain import BlockMap, OPMap, OrderedPartition, SubMap, Subset
 from chaincat.cli import main
 from chaincat.cones import Cone, cone_json
 from chaincat.ideals import LCategory, RCategory, RMorphism
+from chaincat.partitions import PartitionCategory
 from chaincat.powerset import PowersetCategory
 from chaincat.verify import (
     CHECKS,
@@ -125,22 +126,6 @@ class TestFaultInjection:
         ok, counts, witness = check_cones_principal(4)
         assert not ok and witness["extra"] == 1 and witness["missing"] == 1
 
-    def test_wrong_middle_factor_names_its_morphism(self, monkeypatch):
-        cat = verify.partition_category(5)
-        obj = OrderedPartition(5, (1, 1, 1, 2))
-        factorize_pi = verify.factorize_pi
-
-        def planted(m):
-            q, u, v = factorize_pi(m)
-            if m.source == m.target == obj and str(m.eta) == "[1,3,3,4]":
-                u = next(x for x in cat.hom(u.source, u.target) if x != u)
-            return q, u, v
-
-        monkeypatch.setattr(verify, "factorize_pi", planted)
-        report = run_check("factorize-Pi", 5)
-        assert report.status == "fail"
-        assert report.witness["morphism"] == "[1,3,3,4]"
-
     @pytest.mark.parametrize(
         "check,builder,base,victim,label",
         [
@@ -157,8 +142,12 @@ class TestFaultInjection:
                 "factorize-Po", "powerset_category", PowersetCategory,
                 SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (1, 3)), "[1,3]",
             ),
+            (
+                "factorize-Pi", "partition_category", PartitionCategory,
+                RMorphism(BlockMap(OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2)), (0, 1))), "[1,2]",
+            ),
         ],
-        ids=["L", "R", "Po"],
+        ids=["L", "R", "Po", "Pi"],
     )
     def test_wrong_middle_factor_fails_the_axioms(self, fresh_builds, monkeypatch, check, builder, base, victim, label):
         class Planted(base):
@@ -174,7 +163,7 @@ class TestFaultInjection:
         report = run_check(check, 3)
         assert report.status == "fail"
         assert report.witness == {
-            "category": {LCategory: "L", RCategory: "R", PowersetCategory: "Po"}[base],
+            "category": {LCategory: "L", RCategory: "R", PowersetCategory: "Po", PartitionCategory: "Pi"}[base],
             "axiom": "factorization-isomorphism",
             "morphism": label,
         }
