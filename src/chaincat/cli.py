@@ -1,5 +1,6 @@
 """Command-line harness: run named verification checks or export Cayley
-tables.  Exit codes: 0 all pass, 1 verification failure, 2 usage error."""
+tables.  Exit codes: 0 all pass, 1 verification failure, 2 usage error or
+an output file that cannot be written."""
 
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
             parser.error("--out is required with --export-cayley")
         try:
             path = export_cayley(args.export_cayley, args.n, args.out)
-        except (ResourceLimit, ValueError) as exc:
+        except (ResourceLimit, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         _emit(path)
@@ -102,9 +103,13 @@ def main(argv=None) -> int:
     rendered = _render_json(reports) if args.format == "json" else _render_text(reports)
     _emit(rendered)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0 if all(r.status != "fail" for r in reports) else 1
 
 

@@ -31,7 +31,6 @@ class FiniteCategory(ABC):
         self._objects: tuple | None = None
         self._positions: dict = {}
         self._hom_cache: dict = {}
-        self._subobject_pairs: list | None = None
         self._cone_frame: tuple | None = None
         self._cone_tables: dict = {}
 
@@ -59,12 +58,8 @@ class FiniteCategory(ABC):
 
     def subobject_pairs(self) -> list:
         """All ordered pairs (a, b) of distinct objects with a below b."""
-        if self._subobject_pairs is None:
-            objs = self.objects()
-            self._subobject_pairs = [
-                (a, b) for a in objs for b in objs if a != b and self.leq(a, b)
-            ]
-        return self._subobject_pairs
+        objs = self.objects()
+        return [(a, b) for a in objs for b in objs if a != b and self.leq(a, b)]
 
     def cone_table(self, vertex) -> "ConeTable":
         """The coding of the cones with the given vertex (see ``ConeTable``),
@@ -312,6 +307,14 @@ class Cone:
     def __repr__(self):
         present = sum(c is not None for c in self._all_codes())
         return f"Cone(vertex={self.category.object_label(self.vertex)}, {present} components)"
+
+    def __str__(self):
+        """The vertex and the components at the maximal objects, which
+        determine a valid cone; a cone kept as given reads as its repr."""
+        if self._given is not None:
+            return repr(self)
+        cat, member = self.category, self._table.member
+        return f"{cat.object_label(self.vertex)}: " + " ".join([cat.morphism_label(member(c)) for c in self._codes])
 
 
 def validate_cone(cone: Cone) -> bool:

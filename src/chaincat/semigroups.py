@@ -1,6 +1,6 @@
 """Finite semigroups as explicit Cayley tables: construction with closure and
-associativity checking, regularity, a Green's oracle read off the Cayley
-graphs, homomorphism checking and an isomorphism search over the images
+associativity checking, regularity, a Green's oracle read off the principal
+ideals, homomorphism checking and an isomorphism search over the images
 of a generating set."""
 
 from __future__ import annotations
@@ -132,75 +132,33 @@ def is_regular(s: FiniteSemigroup) -> bool:
     return True
 
 
-def _strong_components(successors: list) -> tuple[int, ...]:
-    """Label each vertex of a graph by the least vertex of its strongly
-    connected component.
-
-    ``successors[v]`` lists the heads of the edges out of v.  Tarjan's
-    algorithm, run with an explicit stack so that the depth of the graph
-    does not meet the recursion limit.
-    """
-    m = len(successors)
-    order = [-1] * m  # discovery number, -1 until discovered
-    low = [0] * m  # least discovery number reachable through the open path
-    label = [-1] * m  # -1 until the component is closed
-    open_vertices: list[int] = []
-    found = 0
-    for root in range(m):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = found
-        found += 1
-        open_vertices.append(root)
-        path = [(root, iter(successors[root]))]
-        while path:
-            v, edges = path[-1]
-            for w in edges:
-                if order[w] < 0:
-                    order[w] = low[w] = found
-                    found += 1
-                    open_vertices.append(w)
-                    path.append((w, iter(successors[w])))
-                    break
-                if label[w] < 0 and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                path.pop()
-                if path:
-                    u = path[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == order[v]:
-                    start = open_vertices.index(v)
-                    component = open_vertices[start:]
-                    del open_vertices[start:]
-                    least = min(component)
-                    for w in component:
-                        label[w] = least
-    return tuple(label)
+def _least_index_labels(keys) -> tuple[int, ...]:
+    """Label each index by the first index with an equal key."""
+    first: dict = {}
+    return tuple([first.setdefault(key, a) for a, key in enumerate(keys)])
 
 
 def green_oracle(s: FiniteSemigroup, relation: str) -> tuple:
     """Green's classes read off the Cayley table, with no knowledge of what
     the elements are: one class label per element index, cached on s.
 
-    In the right Cayley graph a -> a*x the vertices reachable from a are
-    aS^1, so a R b (aS^1 = bS^1) exactly when a and b are strongly connected
-    there.  Likewise L comes from the left graph a -> x*a, and J from the
-    union of both, whose reachable sets are S^1aS^1.  H is the pair of the L
-    and R labels.  A label is the least element index of its class (a pair
-    of those for H).
+    By definition a R b when aS^1 = bS^1, and aS^1 is a with row a; a L b
+    when S^1a = S^1b, and S^1a is a with column a.  H is the pair of the L
+    and R labels.  In a finite semigroup J = D = L∘R, so the J-class of a is
+    the union of the R-classes met by the L-class of a, and its least index
+    is the least R label over that L-class.  A label is the least element
+    index of its class (a pair of those for H).
     """
     if relation not in ("R", "L", "H", "J"):
         raise ValueError(f"unknown Green relation {relation!r}")
     labels = s._green_labels
     if not labels:
-        rows = [set(row) for row in s.table]
-        columns = [set(column) for column in zip(*s.table)]
-        labels["R"] = _strong_components(rows)
-        labels["L"] = _strong_components(columns)
-        labels["J"] = _strong_components([r | c for r, c in zip(rows, columns)])
-        labels["H"] = tuple(zip(labels["L"], labels["R"]))
+        rs = _least_index_labels(frozenset(row).union((a,)) for a, row in enumerate(s.table))
+        ls = _least_index_labels(frozenset(column).union((a,)) for a, column in enumerate(zip(*s.table)))
+        least_r: dict = {}  # L label -> least R label over the L-class
+        for x, y in zip(ls, rs):
+            least_r[x] = min(least_r.get(x, y), y)
+        labels.update(R=rs, L=ls, H=tuple(zip(ls, rs)), J=tuple([least_r[x] for x in ls]))
     return labels[relation]
 
 

@@ -139,7 +139,7 @@ def _same_partition(keys: list, labels: tuple) -> bool:
 
 def check_green(n: int):
     """The image/kernel characterization of Green's relations against the
-    Cayley-graph oracle, compared as partitions of OX_n.
+    principal-ideal oracle, compared as partitions of OX_n.
 
     Only a relation whose partitions differ is rescanned pair by pair, in
     (a, b, relation) order, for the first pair the two sides disagree on.
@@ -374,13 +374,12 @@ def check_phi_faithful(n: int):
 
 def check_cone_regular(n: int):
     results = {}
-    witness = None
+    ok, witness = True, None
     for label, s, cat in (
         ("TL", tl_semigroup(n), left_category(n)),
         ("TPo", tpo_semigroup(n), powerset_category(n)),
     ):
-        results[f"{label}_order"] = s.order
-        results[f"{label}_regular"] = int(is_regular(s))
+        regular = is_regular(s)
         wrong = next(
             (
                 cone
@@ -389,14 +388,12 @@ def check_cone_regular(n: int):
             ),
             None,
         )
+        results[f"{label}_order"] = s.order
+        results[f"{label}_regular"] = int(regular)
         results[f"{label}_idempotence_criterion"] = int(wrong is None)
+        ok = ok and regular and wrong is None
         if wrong is not None and witness is None:
             witness = {"reason": "idempotence criterion fails", "semigroup": label, "cone": cone_json(wrong)}
-    ok = all(
-        results[k] == 1
-        for k in results
-        if k.endswith("_regular") or k.endswith("_idempotence_criterion")
-    )
     if not ok and witness is None:
         witness = {"reason": "a cone semigroup is not regular"}
     return ok, results, witness

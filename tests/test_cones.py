@@ -98,6 +98,7 @@ class TestImmutability:
         c = Cone(lcat3, cone.vertex, partial)
         assert dict(c.components) == partial and c != cone
         assert not validate_cone(c)
+        assert str(c) == repr(c) == "Cone(vertex={1,2}, 5 components)"
         with pytest.raises(KeyError):
             c.component(missing)
 
@@ -215,6 +216,14 @@ def test_cone_json_shape(lcat3):
     assert data["vertex"] == "{1,2}"
     assert set(data["components"]) == {"{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}"}
     assert data["components"]["{1,3}"].startswith("rho(")
+
+
+def test_cone_label_names_the_maximal_components(lcat3, pocat3):
+    a = OPMap((1, 1, 2))
+    assert str(lcat3.principal_cone(a)) == (
+        "{1,2}: rho({1,2} -> {1,2}: [1,1]) rho({1,3} -> {1,2}: [1,2]) rho({2,3} -> {1,2}: [1,2])"
+    )
+    assert str(pocat3.principal_cone(a)) == "{1,2}: [1,1] [1,2] [1,2]"
 
 
 def test_rebuilt_category_gives_identical_tables():

@@ -1,10 +1,12 @@
 """Frozen outputs at n=4: the counts of every check in ``run_all`` and the
 digest of every exported Cayley table.
 
-The figures were recorded before the four ideal categories were collapsed
-into two morphism carriers; a refactor that keeps the reports and exports
-byte-identical leaves them unchanged.  The test reuses verify's memoized
-builds.
+The counts and the oxn digest were recorded before the four ideal
+categories were collapsed into two morphism carriers; a refactor that keeps
+the reports and exports byte-identical leaves them unchanged.  The four
+cone-export digests were recorded when ``str`` of a cone became its vertex
+and maximal components, labels that tell the cones apart.  The test reuses
+verify's memoized builds.
 """
 
 import hashlib
@@ -39,14 +41,15 @@ COUNTS = {
     },
 }
 
-# sha256 of the file written by ``export_cayley(selector, 4, path)``; the
-# left pair and the right pair export the same tables.
+# sha256 of the file written by ``export_cayley(selector, 4, path)``.  The
+# left pair and the right pair export the same tables; their element labels
+# differ, each cone naming its components with its own category's labels.
 EXPORT_SHA256 = {
     "oxn": "adef1048c795d832180c40113f347e2a1bf4b00c1b4eb554b9493801be7eed98",
-    "TL": "37b3ef058b24f9a3952ba54329faa4f9d45799389201caabab52d270b7f45b88",
-    "TPo": "37b3ef058b24f9a3952ba54329faa4f9d45799389201caabab52d270b7f45b88",
-    "TR": "0526b93848db5fcc5e468488baea066cbea8048d000a415463f2faf358070a14",
-    "TPi": "0526b93848db5fcc5e468488baea066cbea8048d000a415463f2faf358070a14",
+    "TL": "f0b6d691c1379027a8a98e3809eb8f2ccbaf528aefabca26e2f2eb3044dfa19c",
+    "TPo": "f5b93ce11dc085bb48ab27f07ebe88e9e25fc0476a9e5821f61eb5432a5e5a16",
+    "TR": "b7934bd9704c6922ca59a46112bf7879c6e22f70a0922c959f3401efb86404f6",
+    "TPi": "5cdd82e37c6872d4842eec915f4fc0cfd9c2ee90d039f0852c5d68cd8beb1208",
 }
 
 

@@ -1,5 +1,7 @@
-"""The README's check and selector tables against the registry they document."""
+"""The README's check and selector tables against the registry they
+document, and its Python examples run as written."""
 
+import re
 from pathlib import Path
 
 from chaincat.verify import CHECKS, SELECTORS
@@ -28,3 +30,10 @@ def test_check_table_matches_the_registry():
 
 def test_selector_table_matches_the_selectors():
     assert [row[0].strip("`") for row in _table("selector")] == list(SELECTORS)
+
+
+def test_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

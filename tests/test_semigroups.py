@@ -21,7 +21,7 @@ from chaincat.semigroups import (
     is_regular,
     opposite,
 )
-from chaincat.verify import oxn_semigroup
+from chaincat.verify import oxn_semigroup, phi_into_tr, tl_semigroup
 
 
 def test_build_ox3():
@@ -134,8 +134,9 @@ def _related(s, a, b, relation):
 
 
 def _ideal_oracle(s):
-    """Green's relations by equality of principal ideals, pair by pair: the
-    oracle the Cayley-graph labels replaced, kept here as their reference."""
+    """Green's relations by equality of principal ideals, pair by pair, with
+    J from the two-sided ideals S^1aS^1 rather than from D: the reference
+    for the oracle's labels."""
     m, table = s.order, s.table
     left = [frozenset(table[x][a] for x in range(m)) | {a} for a in range(m)]
     right = [frozenset(table[a]) | {a} for a in range(m)]
@@ -153,6 +154,16 @@ def _ideal_oracle(s):
         return ideals[i] == ideals[j]
 
     return related
+
+
+def _three_element_semigroups() -> list[FiniteSemigroup]:
+    """The 113 semigroups on {0, 1, 2}, one per associative table."""
+    semigroups = []
+    for flat in itertools.product(range(3), repeat=9):
+        t = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+        if _associative(t):
+            semigroups.append(FiniteSemigroup([0, 1, 2], t, {0: 0, 1: 1, 2: 2}))
+    return semigroups
 
 
 def _classes(s, relation):
@@ -193,15 +204,26 @@ class TestGreenOracle:
                 for rel in "RLHJ":
                     assert green(a, b, rel) == _related(s, a, b, rel)
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_agrees_with_the_ideal_oracle(self, n):
-        s = oxn_semigroup(n)
-        related = _ideal_oracle(s)
-        for rel in "RLHJ":
-            labels = green_oracle(s, rel)
-            for i in range(s.order):
-                for j in range(s.order):
-                    assert (labels[i] == labels[j]) == related(i, j, rel), (i, j, rel)
+    @pytest.mark.parametrize(
+        "semigroups",
+        [
+            pytest.param(lambda: [oxn_semigroup(3)], id="3"),
+            pytest.param(lambda: [oxn_semigroup(4)], id="4"),
+            pytest.param(lambda: [oxn_semigroup(5)], id="5"),
+            pytest.param(lambda: [tl_semigroup(3)], id="TL3"),
+            pytest.param(lambda: [phi_into_tr(3).target], id="TR3"),
+            pytest.param(lambda: [opposite(oxn_semigroup(4))], id="OX4-op"),
+            pytest.param(_three_element_semigroups, id="all-order-3"),
+        ],
+    )
+    def test_agrees_with_the_ideal_oracle(self, semigroups):
+        for s in semigroups():
+            related = _ideal_oracle(s)
+            for rel in "RLHJ":
+                labels = green_oracle(s, rel)
+                for i in range(s.order):
+                    for j in range(s.order):
+                        assert (labels[i] == labels[j]) == related(i, j, rel), (s.table, i, j, rel)
 
     def test_left_zero_band(self):
         # x*y = x: S^1 a = S, so L and J are universal; aS^1 = {a}
@@ -270,13 +292,8 @@ class TestFindIsomorphism:
         assert find_isomorphism(oxn_semigroup(3), oxn_semigroup(4)) is None
 
     def test_all_three_element_semigroups_against_brute_force(self):
-        tables = []
-        for flat in itertools.product(range(3), repeat=9):
-            t = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-            if _associative(t):
-                tables.append(t)
-        assert len(tables) == 113
-        semigroups = [FiniteSemigroup([0, 1, 2], t, {0: 0, 1: 1, 2: 2}) for t in tables]
+        semigroups = _three_element_semigroups()
+        assert len(semigroups) == 113
         perms = list(itertools.permutations(range(3)))
         for a in semigroups:
             for b in semigroups:

@@ -276,6 +276,16 @@ class TestCLI:
         data = json.loads(out.read_text())
         assert data["passed"] is True
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(["--export-cayley", "oxn", "--n", "3", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert main(["--check", "counts", "--n", "3", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_seed_has_no_effect(self, capsys):
         def report(*extra):
             assert main(["--check", "factorize-Pi", "--n", "5", *extra, "--format", "json"]) == 0
@@ -338,6 +348,14 @@ class TestExport:
             path = tmp_path / f"{selector}.json"
             export_cayley(selector, 3, str(path))
             assert json.loads(path.read_text())["order"] == 9
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_exported_labels_are_distinct(self, tmp_path, n):
+        for selector in ("TL", "TR", "TPo", "TPi"):
+            path = tmp_path / f"{selector}.json"
+            export_cayley(selector, n, str(path))
+            labels = json.loads(path.read_text())["elements"]
+            assert len(set(labels)) == len(labels), selector
 
     def test_resource_limit(self, tmp_path):
         with pytest.raises(ResourceLimit):
