@@ -31,7 +31,7 @@ from .ideals import (
     r_compose,
     r_morphism_from_triple,
 )
-from .partitions import BarElement, PartitionCategory
+from .partitions import PartitionCategory
 from .powerset import PowersetCategory, cone_to_opmap
 from .semigroups import (
     ElementMap,

@@ -16,6 +16,16 @@ MAX_CHAIN = 12
 GREEN_RELATIONS = ("R", "L", "H", "J")
 
 
+def _check_tuple(values: tuple, n: int = 0) -> None:
+    """Reject a sequence that is not a tuple, or a chain size n that is not
+    an int.  The caller checks each entry is an int; bools are refused too,
+    though Python counts them as ints."""
+    if type(values) is not tuple:
+        raise ValueError(f"expected a tuple, got {values!r}")
+    if type(n) is not int:
+        raise ValueError(f"chain size must be an int, got {n!r}")
+
+
 def check_chain_size(n: int) -> int:
     """Validate a chain size; small chains are degenerate, huge ones explode."""
     if not isinstance(n, int) or not MIN_CHAIN <= n <= MAX_CHAIN:
@@ -36,13 +46,14 @@ class OPMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        _check_tuple(self.images)
         n = len(self.images)
         if n == 0:
             raise ValueError("empty image sequence")
         prev = 1
         for v in self.images:
-            if not 1 <= v <= n:
-                raise ValueError(f"value {v} outside 1..{n} in {self.images}")
+            if type(v) is not int or not 1 <= v <= n:
+                raise ValueError(f"value {v!r} is not an int in 1..{n} in {self.images}")
             if v < prev:
                 raise ValueError(f"image sequence {self.images} is not monotone")
             prev = v
@@ -119,12 +130,13 @@ class Subset:
     elements: tuple[int, ...]
 
     def __post_init__(self):
+        _check_tuple(self.elements, self.n)
         if not self.elements:
             raise ValueError("subset must be nonempty")
         prev = 0
         for v in self.elements:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"element {v} outside 1..{self.n}")
+            if type(v) is not int or not 1 <= v <= self.n:
+                raise ValueError(f"element {v!r} is not an int in 1..{self.n}")
             if v <= prev:
                 raise ValueError(f"elements {self.elements} not strictly increasing")
             prev = v
@@ -154,9 +166,6 @@ class Subset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
@@ -173,8 +182,9 @@ class OrderedPartition:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.block_sizes or any(k <= 0 for k in self.block_sizes):
-            raise ValueError(f"block sizes must be positive, got {self.block_sizes}")
+        _check_tuple(self.block_sizes, self.n)
+        if not self.block_sizes or any(type(k) is not int or k <= 0 for k in self.block_sizes):
+            raise ValueError(f"block sizes must be positive ints, got {self.block_sizes}")
         if sum(self.block_sizes) != self.n:
             raise ValueError(f"block sizes {self.block_sizes} do not sum to {self.n}")
 
@@ -250,14 +260,15 @@ class SubMap:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        _check_tuple(self.values)
         if self.domain.n != self.codomain.n:
             raise ValueError("domain and codomain live on different chains")
         if len(self.values) != len(self.domain):
             raise ValueError(f"need {len(self.domain)} values, got {len(self.values)}")
         prev = 0
         for v in self.values:
-            if v not in self.codomain:
-                raise ValueError(f"value {v} not in codomain {self.codomain}")
+            if type(v) is not int or v not in self.codomain:
+                raise ValueError(f"value {v!r} is not an int in codomain {self.codomain}")
             if v < prev:
                 raise ValueError(f"values {self.values} not monotone")
             prev = v
@@ -323,14 +334,15 @@ class BlockMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        _check_tuple(self.images)
         if self.source.n != self.target.n:
             raise ValueError("source and target partition different chains")
         if len(self.images) != self.source.num_blocks:
             raise ValueError(f"need {self.source.num_blocks} block images, got {len(self.images)}")
         prev = 0
         for j in self.images:
-            if not 0 <= j < self.target.num_blocks:
-                raise ValueError(f"block index {j} out of range for {self.target}")
+            if type(j) is not int or not 0 <= j < self.target.num_blocks:
+                raise ValueError(f"block index {j!r} is not an int in range for {self.target}")
             if j < prev:
                 raise ValueError(f"block images {self.images} not monotone")
             prev = j
@@ -359,9 +371,6 @@ class BlockMap:
             raise ValueError(f"{finer} does not refine {coarser}")
         images = tuple(coarser.block_of(block[0]) for block in finer.blocks)
         return cls._trusted(finer, coarser, images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     def then(self, other: BlockMap) -> BlockMap:
         if self.target != other.source:
@@ -459,8 +468,9 @@ def proper_subsets(n: int) -> tuple[Subset, ...]:
 
 
 @lru_cache(maxsize=None)
-def ordered_partitions(n: int, include_identity: bool = False) -> tuple[OrderedPartition, ...]:
-    """All ordered partitions of 1..n (compositions of n), coarsest block counts first."""
+def ordered_partitions(n: int) -> tuple[OrderedPartition, ...]:
+    """All non-identity ordered partitions of 1..n (compositions of n other
+    than all ones), coarsest block counts first."""
     check_chain_size(n)
     out: list[OrderedPartition] = []
 
@@ -473,9 +483,7 @@ def ordered_partitions(n: int, include_identity: bool = False) -> tuple[OrderedP
 
     gen(n, ())
     out.sort(key=lambda p: (p.num_blocks, p.block_sizes))
-    if not include_identity:
-        out = [p for p in out if p.is_non_identity()]
-    return tuple(out)
+    return tuple(p for p in out if p.is_non_identity())
 
 
 def idempotent_for_image(a: Subset) -> OPMap:
@@ -543,21 +551,18 @@ def separator_idempotent(x_i: int, n: int) -> OPMap:
     return OPMap((x_i,) * x_i + (x_i + 1,) * (n - x_i))
 
 
-def restrict(f: OPMap, a: Subset, codomain: Subset | None = None) -> SubMap:
-    """The restriction of f to a, with codomain the image of the restriction
-    unless a larger one is declared.
+def restrict(f: OPMap, a: Subset, codomain: Subset) -> SubMap:
+    """The restriction of f to a, into the given codomain.
 
     A monotone map read along an increasing domain gives monotone values,
-    so the submap is built without re-validation; only a declared codomain
-    is checked to hold every value.
+    so the submap is built without re-validation; only the codomain is
+    checked to hold every value.
     """
-    if a.n != f.n or (codomain is not None and codomain.n != f.n):
+    if a.n != f.n or codomain.n != f.n:
         raise ValueError(f"cannot restrict a map on 1..{f.n} to subsets of another chain")
     images = f.images
     values = tuple([images[x - 1] for x in a.elements])
-    if codomain is None:
-        codomain = Subset.of(f.n, values)
-    elif not set(values).issubset(codomain.elements):
+    if not set(values).issubset(codomain.elements):
         raise ValueError(f"values {values} not all in codomain {codomain}")
     return SubMap._trusted(a, codomain, values)
 

@@ -1,12 +1,12 @@
 """The category of proper subsets of the chain with monotone maps between
-them, and its vertex cones.
+them, and the reading of its normal cones back as whole-chain maps.
 
 It is the left-ideal category with every hom-set enumerated instead of
 computed from sandwich sets; the F-iso check compares the two sources."""
 
 from __future__ import annotations
 
-from .chain import OPMap, SubMap, Subset, image, submaps_between
+from .chain import OPMap, SubMap, Subset, submaps_between
 from .cones import Cone, mset
 from .ideals import LCategory
 
@@ -24,17 +24,6 @@ class PowersetCategory(LCategory):
 
     def morphism_label(self, f: SubMap) -> str:
         return str(f)
-
-    def vertex_cone(self, a: Subset, u: OPMap) -> Cone:
-        """The cone at vertex a whose components restrict a map u that fixes
-        a pointwise and lands inside it; its vertex component is the
-        identity, so it is idempotent under cone multiplication.  The two
-        conditions make a the image of u, so this is the principal cone of u."""
-        if any(u(x) != x for x in a):
-            raise ValueError(f"{u} does not fix {a} pointwise")
-        if not image(u).issubset(a):
-            raise ValueError(f"image of {u} is not contained in {a}")
-        return self.principal_cone(u)
 
 
 def cone_to_opmap(gamma: Cone) -> OPMap:

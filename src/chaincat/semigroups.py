@@ -48,9 +48,6 @@ class FiniteSemigroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def mul_elements(self, a, b):
-        return self.elements[self.table[self.index[a]][self.index[b]]]
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -40,7 +40,6 @@ from .semigroups import (
 )
 
 EXPORT_ORDER_LIMIT = 2000
-SELECTORS = ("oxn", "TL", "TR", "TPo", "TPi")
 
 
 class ResourceLimit(ValueError):
@@ -473,23 +472,21 @@ def run_all(n: int) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 # exports
 
-def _semigroup_for(selector: str, n: int) -> FiniteSemigroup:
-    if selector == "oxn":
-        return oxn_semigroup(n)
-    if selector == "TL":
-        return tl_semigroup(n)
-    if selector == "TR":
-        return phi_into_tr(n).target
-    if selector == "TPo":
-        return tpo_semigroup(n)
-    if selector == "TPi":
-        return tpi_semigroup(n)
-    raise ValueError(f"unknown selector {selector!r}; known: {', '.join(SELECTORS)}")
+# Looked up by name at call time, so a builder patched on this module is
+# the one exported.
+EXPORTS: dict[str, Callable[[int], FiniteSemigroup]] = {
+    "oxn": lambda n: oxn_semigroup(n),
+    "TL": lambda n: tl_semigroup(n),
+    "TR": lambda n: phi_into_tr(n).target,
+    "TPo": lambda n: tpo_semigroup(n),
+    "TPi": lambda n: tpi_semigroup(n),
+}
+SELECTORS = tuple(EXPORTS)
 
 
 def export_cayley(selector: str, n: int, path: str) -> str:
     """Write the selected Cayley table as JSON, refusing oversized tables."""
-    if selector not in SELECTORS:
+    if selector not in EXPORTS:
         raise ValueError(f"unknown selector {selector!r}; known: {', '.join(SELECTORS)}")
     check_chain_size(n)
     order = chain.oxn_order(n)
@@ -497,7 +494,7 @@ def export_cayley(selector: str, n: int, path: str) -> str:
         raise ResourceLimit(
             f"{selector} at n={n} has order {order}, over the export limit {EXPORT_ORDER_LIMIT}"
         )
-    s = _semigroup_for(selector, n)
+    s = EXPORTS[selector](n)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(s.to_json())
         fh.write("\n")

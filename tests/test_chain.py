@@ -73,6 +73,15 @@ class TestOPMap:
         with pytest.raises(ValueError):
             OPMap((1, 2, 4))
 
+    @pytest.mark.parametrize(
+        "images",
+        [(1, 1, 2.5), (1.0, 1, 2), (True, 1, 2), [1, 1, 2], "112"],
+        ids=["float", "integral-float", "bool", "list", "str"],
+    )
+    def test_rejects_non_int_values(self, images):
+        with pytest.raises(ValueError):
+            OPMap(images)
+
     def test_identity_and_singular(self):
         assert OPMap.identity(4).images == (1, 2, 3, 4)
         assert not OPMap.identity(4).is_singular()
@@ -194,7 +203,7 @@ class TestEnumeration:
     def test_ordered_partitions_count(self):
         assert len(ordered_partitions(3)) == 3
         assert len(ordered_partitions(4)) == 7
-        assert len(ordered_partitions(4, include_identity=True)) == 8
+        assert OrderedPartition.identity(4) not in ordered_partitions(4)
 
 
 class TestIdempotentForImage:
@@ -305,9 +314,9 @@ class TestSeparator:
 
 class TestRestrict:
     def test_examples(self):
-        assert restrict(OPMap((1, 3, 3)), subset(3, 1, 2)).values == (1, 3)
-        assert restrict(OPMap((1, 2, 2)), subset(3, 1, 2)).is_identity()
-        assert restrict(OPMap((2, 2, 2)), subset(3, 1, 3)).values == (2, 2)
+        assert restrict(OPMap((1, 3, 3)), subset(3, 1, 2), subset(3, 1, 3)).values == (1, 3)
+        assert restrict(OPMap((1, 2, 2)), subset(3, 1, 2), subset(3, 1, 2)).is_identity()
+        assert restrict(OPMap((2, 2, 2)), subset(3, 1, 3), subset(3, 2)).values == (2, 2)
 
     def test_declared_codomain(self):
         r = restrict(OPMap((1, 3, 3)), subset(3, 1, 2), codomain=subset(3, 1, 2, 3))
@@ -317,16 +326,21 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(OPMap((1, 3, 3)), subset(3, 1, 2), codomain=subset(3, 1, 2))
 
-    @pytest.mark.parametrize("codomain", [None, Subset(4, (1, 2, 3))])
+    @pytest.mark.parametrize("codomain", [Subset(3, (1, 2, 3)), Subset(4, (1, 2, 3))])
     def test_subsets_of_another_chain(self, codomain):
         with pytest.raises(ValueError):
             restrict(OPMap((1, 3, 3)), Subset(4, (1, 2)), codomain=codomain)
 
+    def test_codomain_on_another_chain(self):
+        with pytest.raises(ValueError):
+            restrict(OPMap((1, 3, 3)), Subset(3, (1, 2)), codomain=Subset(4, (1, 3)))
+
     def test_equals_the_validated_submap(self):
         for f in enumerate_oxn(4):
             for a in proper_subsets(4):
-                r = restrict(f, a)
-                checked = SubMap(a, Subset.of(4, r.values), tuple(f(x) for x in a.elements))
+                values = tuple(f(x) for x in a.elements)
+                r = restrict(f, a, Subset.of(4, values))
+                checked = SubMap(a, Subset.of(4, values), values)
                 assert r == checked and hash(r) == hash(checked)
 
     def test_extension_restricts_back(self):
@@ -343,6 +357,9 @@ class TestSubsetPartition:
             Subset(3, (2, 2))
         with pytest.raises(ValueError):
             Subset(3, (0, 1))
+        for n, elements in ((3, (1.0, 2)), (3, (1, 2.5)), (3, (True, 2)), (3, [1, 2]), (3.0, (1, 2)), (True, (1,))):
+            with pytest.raises(ValueError):
+                Subset(n, elements)
         assert not Subset.full(3).is_proper()
         assert subset(3, 1, 2).is_proper()
 
@@ -351,6 +368,9 @@ class TestSubsetPartition:
             OrderedPartition(4, (2, 1))
         with pytest.raises(ValueError):
             OrderedPartition(4, (0, 4))
+        for n, sizes in ((3, (1.5, 1.5)), (3, (2.0, 1)), (3, (True, 2)), (3, [2, 1]), (3.0, (2, 1)), (True, (1,))):
+            with pytest.raises(ValueError):
+                OrderedPartition(n, sizes)
         assert OrderedPartition(4, (1, 1, 1, 1)).is_non_identity() is False
         assert OrderedPartition(4, (2, 2)).is_non_identity()
 
@@ -372,6 +392,14 @@ class TestSubMap:
             SubMap(subset(3, 1, 2), subset(3, 1, 3), (1, 2))
         with pytest.raises(ValueError):
             SubMap(subset(3, 1, 2), subset(3, 1, 3), (3, 1))
+        for values in ((1.0, 3), (1, 3.0), (True, 3), [1, 3]):
+            with pytest.raises(ValueError):
+                SubMap(subset(3, 1, 2), subset(3, 1, 3), values)
+        p, q = OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2))
+        assert BlockMap(p, q, (0, 1)).images == (0, 1)
+        for images in ((0, 1.0), (0.0, 1), (False, True), [0, 1]):
+            with pytest.raises(ValueError):
+                BlockMap(p, q, images)
 
     def test_compose_and_identity(self):
         f = SubMap(subset(3, 1, 2), subset(3, 1, 3), (1, 3))

@@ -16,12 +16,7 @@ from chaincat.cones import (
     validate_cone,
 )
 from chaincat.ideals import RMorphism
-from chaincat.partitions import (
-    BarElement,
-    bar_elements,
-    factorize_pi,
-    precompose,
-)
+from chaincat.partitions import factorize_pi
 from chaincat.semigroups import find_isomorphism, is_regular, opposite
 from chaincat.verify import oxn_semigroup, partition_category, right_category
 
@@ -140,51 +135,15 @@ class TestFactorizePi:
                     assert sum(v.source.block_sizes) == n
 
 
-class TestExtensionality:
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_distinct_morphisms_act_differently(self, n):
-        cat = partition_category(n)
-        for a in cat.objects():
-            elements = bar_elements(a)
-            for b in cat.objects():
-                homs = cat.hom(a, b)
-                for i, m1 in enumerate(homs):
-                    for m2 in homs[i + 1:]:
-                        assert any(precompose(m1, x) != precompose(m2, x) for x in elements)
-
-    def test_precompose_frozen(self):
-        p, q = pobj(3, 2, 1), pobj(3, 3)
-        m = morphism(p, q, 1)
-        x = BarElement(p, (1, 3))
-        assert precompose(m, x).values == (3,)
-
-    def test_precompose_wrong_source(self):
-        p, q = pobj(3, 2, 1), pobj(3, 3)
-        m = morphism(p, q, 0)
-        with pytest.raises(ValueError):
-            precompose(m, BarElement(q, (2,)))
-
-    def test_bar_element_counts(self):
-        from math import comb
-
-        for n in (3, 4):
-            for p in (OrderedPartition(n, (n,)), OrderedPartition(n, (1, n - 1))):
-                m = p.num_blocks
-                assert len(bar_elements(p)) == comb(n + m - 1, m)
-
-    def test_bar_element_validation(self):
-        p = OrderedPartition(3, (2, 1))
-        with pytest.raises(ValueError):
-            BarElement(p, (3, 1))
-        with pytest.raises(ValueError):
-            BarElement(p, (1,))
-
-
 class TestIdempotentPiCone:
+    """The dual principal cones of idempotents: each has the kernel as
+    vertex and the identity there, and squares to itself."""
+
     def test_frozen_example(self):
         cat = partition_category(3)
         vertex = pobj(3, 2, 1)
-        c = cat.idempotent_pi_cone(vertex, OPMap((1, 1, 3)))
+        c = cat.dual_principal_cone(OPMap((1, 1, 3)))
+        assert c.vertex == vertex
         assert c.components[pobj(3, 3)].eta.images == (0, 0)
         assert c.components[vertex].eta.is_identity()
         assert c.components[pobj(3, 1, 2)].eta.images == (0, 1)
@@ -192,35 +151,25 @@ class TestIdempotentPiCone:
 
     def test_constant_vertex(self):
         cat = partition_category(3)
-        c = cat.idempotent_pi_cone(pobj(3, 3), OPMap((2, 2, 2)))
+        c = cat.dual_principal_cone(OPMap((2, 2, 2)))
+        assert c.vertex == pobj(3, 3)
         assert all(len(set(m.eta.images)) == 1 for m in c.components.values())
 
     def test_squares_to_itself(self):
         cat = partition_category(3)
-        c = cat.idempotent_pi_cone(pobj(3, 2, 1), OPMap((1, 1, 3)))
+        c = cat.dual_principal_cone(OPMap((1, 1, 3)))
         assert cone_mul(c, c) == c
-
-    def test_not_blockwise_constant_rejected(self):
-        cat = partition_category(3)
-        with pytest.raises(ValueError, match="constant"):
-            cat.idempotent_pi_cone(pobj(3, 2, 1), OPMap((1, 2, 3)))
-
-    def test_not_cross_section_rejected(self):
-        cat = partition_category(3)
-        with pytest.raises(ValueError, match="cross-section"):
-            cat.idempotent_pi_cone(pobj(3, 2, 1), OPMap((3, 3, 3)))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_all_vertex_idempotent_pairs(self, n):
         cat = partition_category(n)
-        for vertex in cat.objects():
-            for u in enumerate_oxn(n):
-                if u.is_idempotent() and kernel(u) == vertex:
-                    c = cat.idempotent_pi_cone(vertex, u)
-                    assert c == cat.dual_principal_cone(u)
-                    assert validate_cone(c) and mset(c)
-                    assert c.components[vertex].eta.is_identity()
-                    assert cone_mul(c, c) == c
+        for u in enumerate_oxn(n):
+            if u.is_idempotent():
+                c = cat.dual_principal_cone(u)
+                assert c.vertex == kernel(u)
+                assert validate_cone(c) and mset(c)
+                assert c.components[c.vertex].eta.is_identity()
+                assert cone_mul(c, c) == c
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_normal_category_axioms(self, n):

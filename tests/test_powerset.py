@@ -1,6 +1,6 @@
 import pytest
 
-from chaincat.chain import OPMap, SubMap, Subset, enumerate_oxn, image
+from chaincat.chain import OPMap, SubMap, Subset, enumerate_oxn
 from chaincat.cones import (
     check_functor_isomorphism,
     check_normal_category_axioms,
@@ -59,9 +59,13 @@ class TestProvider:
 
 
 class TestVertexCone:
+    """The principal cones of idempotents: each has the image as vertex and
+    the identity there, and squares to itself."""
+
     def test_frozen_example(self):
         cat = powerset_category(3)
-        c = cat.vertex_cone(sub(3, 1, 3), OPMap((1, 3, 3)))
+        c = cat.principal_cone(OPMap((1, 3, 3)))
+        assert c.vertex == sub(3, 1, 3)
         assert c.components[sub(3, 2)].values == (3,)
         assert c.components[sub(3, 1, 2)].values == (1, 3)
         assert c.components[sub(3, 1, 3)].is_identity()
@@ -69,30 +73,21 @@ class TestVertexCone:
 
     def test_singleton_vertex(self):
         cat = powerset_category(3)
-        c = cat.vertex_cone(sub(3, 2), OPMap((2, 2, 2)))
+        c = cat.principal_cone(OPMap((2, 2, 2)))
+        assert c.vertex == sub(3, 2)
         assert all(set(m.values) == {2} for m in c.components.values())
 
     def test_idempotent_under_cone_mul(self):
         cat = powerset_category(3)
-        c = cat.vertex_cone(sub(3, 1, 2), OPMap((1, 2, 2)))
+        c = cat.principal_cone(OPMap((1, 2, 2)))
         assert cone_mul(c, c) == c
-
-    def test_not_fixing_vertex_rejected(self):
-        cat = powerset_category(3)
-        with pytest.raises(ValueError, match="fix"):
-            cat.vertex_cone(sub(3, 1, 3), OPMap((1, 1, 1)))
-
-    def test_image_outside_vertex_rejected(self):
-        cat = powerset_category(3)
-        with pytest.raises(ValueError, match="contained"):
-            cat.vertex_cone(sub(3, 2), OPMap((1, 2, 2)))
 
 
 class TestConeToOPMap:
     def test_frozen_examples(self):
         cat = powerset_category(3)
         a = OPMap((1, 2, 2))
-        assert cone_to_opmap(cat.vertex_cone(sub(3, 1, 2), a)) == a
+        assert cone_to_opmap(cat.principal_cone(a)) == a
         assert cone_to_opmap(cat.principal_cone(OPMap((2, 2, 3)))) == OPMap((2, 2, 3))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -100,8 +95,6 @@ class TestConeToOPMap:
         cat = powerset_category(n)
         for a in enumerate_oxn(n):
             assert cone_to_opmap(cat.principal_cone(a)) == a
-            if a.is_idempotent():
-                assert cat.vertex_cone(image(a), a) == cat.principal_cone(a)
 
     def test_non_normal_rejected(self):
         cat = powerset_category(3)

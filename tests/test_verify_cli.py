@@ -13,7 +13,7 @@ import chaincat
 from chaincat import chain, verify
 from chaincat.chain import BlockMap, OPMap, OrderedPartition, SubMap, Subset
 from chaincat.cli import main
-from chaincat.cones import Cone, cone_json
+from chaincat.cones import Cone, check_normal_category_axioms, cone_json
 from chaincat.ideals import LCategory, RCategory, RMorphism
 from chaincat.partitions import PartitionCategory
 from chaincat.powerset import PowersetCategory
@@ -167,6 +167,31 @@ class TestFaultInjection:
             "axiom": "factorization-isomorphism",
             "morphism": label,
         }
+
+    def test_wrong_image_absorption_fails_only_the_oracle(self, fresh_builds, monkeypatch):
+        """A factorization through the other absorption, each unhit target
+        block joining the hit block before it (leading ones the first),
+        still recomposes with the right kinds of factors; only the oracle
+        comparison catches it, and only from n=4, where a target first has
+        an unhit block between two hit ones."""
+
+        class Planted(PartitionCategory):
+            def normal_factorize(self, m):
+                _, u, v = super().normal_factorize(m)
+                target = m.eta.target
+                hit = sorted(set(m.eta.images))
+                ends = hit[1:] + [target.num_blocks]
+                sizes = tuple(sum(target.block_sizes[i:j]) for i, j in zip([0] + hit[1:], ends))
+                gamma = OrderedPartition(target.n, sizes)
+                q = RMorphism(BlockMap(gamma, target, tuple(hit)))
+                return q, RMorphism(BlockMap(u.target, gamma, u.eta.images)), v
+
+        wrong = {"reason": "image absorption disagrees with oracle", "morphism": "[1,3]"}
+        for n, witness in ((3, None), (4, wrong)):
+            planted = Planted(n)
+            monkeypatch.setattr(verify, "partition_category", lambda n, cat=planted: cat)
+            assert check_normal_category_axioms(planted)[0]
+            assert run_check("factorize-Pi", n).witness == witness
 
     @pytest.mark.parametrize(
         "plant,reason",
