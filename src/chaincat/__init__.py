@@ -20,7 +20,7 @@ from .chain import (
     retraction_for_inclusion,
     separator_idempotent,
 )
-from .cones import Cone, cone_mul, cone_semigroup, enumerate_normal_cones, is_normal, mset, validate_cone
+from .cones import Cone, cone_mul, cone_semigroup, enumerate_normal_cones, mset, validate_cone
 from .ideals import (
     LCategory,
     RCategory,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, groupby, islice
 from math import comb
 from operator import itemgetter
 
@@ -24,6 +24,16 @@ def _check_tuple(values: tuple, n: int = 0) -> None:
         raise ValueError(f"expected a tuple, got {values!r}")
     if type(n) is not int:
         raise ValueError(f"chain size must be an int, got {n!r}")
+
+
+def _runs(values: tuple) -> tuple[tuple[int, ...], tuple]:
+    """The maximal runs of equal entries in a sequence: their lengths and
+    their values.  For a monotone sequence these are its fibers, in order."""
+    lengths, heads = [], []
+    for v, run in groupby(values):
+        heads.append(v)
+        lengths.append(len(list(run)))
+    return tuple(lengths), tuple(heads)
 
 
 def check_chain_size(n: int) -> int:
@@ -107,16 +117,7 @@ class OPMap:
 
     @cached_property
     def _kernel(self) -> OrderedPartition:
-        sizes = []
-        run, current = 0, self.images[0]
-        for v in self.images:
-            if v == current:
-                run += 1
-            else:
-                sizes.append(run)
-                run, current = 1, v
-        sizes.append(run)
-        return OrderedPartition(self.n, tuple(sizes))
+        return OrderedPartition._shared(self.n, _runs(self.images)[0])
 
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.images)) + "]"
@@ -275,7 +276,7 @@ class SubMap:
 
     @classmethod
     def _trusted(cls, domain: Subset, codomain: Subset, values: tuple[int, ...]) -> SubMap:
-        """Build without validation, for composites of valid submaps."""
+        """Build without validation, for values valid by construction."""
         f = object.__new__(cls)
         init = object.__setattr__
         init(f, "domain", domain)
@@ -309,9 +310,6 @@ class SubMap:
             raise ValueError(f"cannot compose: codomain {self.codomain} != domain {other.domain}")
         positions, values = other.domain._positions, other.values
         return SubMap._trusted(self.domain, other.codomain, tuple([values[positions[v]] for v in self.values]))
-
-    def image(self) -> Subset:
-        return Subset.of(self.domain.n, self.values)
 
     def is_identity(self) -> bool:
         return self.domain == self.codomain and self.values == self.domain.elements
@@ -349,7 +347,7 @@ class BlockMap:
 
     @classmethod
     def _trusted(cls, source: OrderedPartition, target: OrderedPartition, images: tuple[int, ...]) -> BlockMap:
-        """Build without validation, for composites of valid block maps."""
+        """Build without validation, for values valid by construction."""
         f = object.__new__(cls)
         init = object.__setattr__
         init(f, "source", source)
@@ -472,18 +470,11 @@ def ordered_partitions(n: int) -> tuple[OrderedPartition, ...]:
     """All non-identity ordered partitions of 1..n (compositions of n other
     than all ones), coarsest block counts first."""
     check_chain_size(n)
-    out: list[OrderedPartition] = []
-
-    def gen(remaining: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(OrderedPartition(n, prefix))
-            return
-        for k in range(1, remaining + 1):
-            gen(remaining - k, prefix + (k,))
-
-    gen(n, ())
-    out.sort(key=lambda p: (p.num_blocks, p.block_sizes))
-    return tuple(p for p in out if p.is_non_identity())
+    return tuple(
+        OrderedPartition(n, tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,))))
+        for k in range(1, n)
+        for cuts in combinations(range(1, n), k - 1)
+    )
 
 
 def idempotent_for_image(a: Subset) -> OPMap:
@@ -575,17 +566,25 @@ def extend_by_idempotent(f: SubMap) -> OPMap:
 
 
 def submaps_between(a: Subset, b: Subset) -> tuple[SubMap, ...]:
-    """All order-preserving maps a -> b, lexicographically by value sequence."""
+    """All order-preserving maps a -> b, lexicographically by value sequence.
+    Each value sequence is monotone and in b by construction, so only the
+    chain is checked."""
+    if a.n != b.n:
+        raise ValueError(f"{a} and {b} live on different chains")
     return tuple(
-        SubMap(a, b, values)
+        SubMap._trusted(a, b, values)
         for values in combinations_with_replacement(b.elements, len(a))
     )
 
 
 def block_maps_between(p: OrderedPartition, q: OrderedPartition) -> tuple[BlockMap, ...]:
-    """All order-preserving block maps p -> q, lexicographically."""
+    """All order-preserving block maps p -> q, lexicographically.  Each
+    image sequence is monotone and in range by construction, so only the
+    chain is checked."""
+    if p.n != q.n:
+        raise ValueError(f"{p} and {q} partition different chains")
     return tuple(
-        BlockMap(p, q, images)
+        BlockMap._trusted(p, q, images)
         for images in combinations_with_replacement(range(q.num_blocks), p.num_blocks)
     )
 
@@ -596,50 +595,43 @@ def block_maps_between(p: OrderedPartition, q: OrderedPartition) -> tuple[BlockM
 def factorize_submap(f: SubMap) -> tuple[SubMap, SubMap, SubMap]:
     """Split f: A -> B as retraction, bijection, inclusion.
 
-    The retraction collapses A onto the minimum of each fiber of f, the
-    bijection is f on that cross-section, and the inclusion embeds the image
-    into B.  All three choices are canonical, so the output is deterministic.
+    The runs of f's values are its fibers.  The retraction collapses A onto
+    the first element of each fiber, the bijection is f on that
+    cross-section, and the inclusion embeds the image into B.  All three
+    choices are canonical, so the output is deterministic, and all three
+    maps are valid by construction.
     """
-    fiber_min: dict[int, int] = {}
-    for x in f.domain.elements:
-        v = f(x)
-        if v not in fiber_min:
-            fiber_min[v] = x
-    cross = Subset.of(f.domain.n, fiber_min.values())
-    q = SubMap(f.domain, cross, tuple(fiber_min[f(x)] for x in f.domain.elements))
-    img = f.image()
-    u = SubMap(cross, img, tuple(f(x) for x in cross.elements))
-    j = SubMap.inclusion(img, f.codomain)
+    lengths, values = _runs(f.values)
+    elements = f.domain.elements
+    firsts = tuple(elements[i] for i in accumulate(lengths[:-1], initial=0))
+    cross = Subset(f.domain.n, firsts)
+    img = Subset(f.domain.n, values)
+    q = SubMap._trusted(f.domain, cross, tuple(x for x, k in zip(firsts, lengths) for _ in range(k)))
+    u = SubMap._trusted(cross, img, values)
+    j = SubMap._trusted(img, f.codomain, values)
     return q, u, j
 
 
 def fiber_coarsening(eta: BlockMap) -> OrderedPartition:
-    """Coarsen the source partition by merging consecutive blocks with equal
-    image; monotonicity makes the fibers consecutive runs."""
-    sizes = []
-    run, current = 0, eta.images[0]
-    for size, j in zip(eta.source.block_sizes, eta.images):
-        if j == current:
-            run += size
-        else:
-            sizes.append(run)
-            run, current = size, j
-    sizes.append(run)
-    return OrderedPartition._shared(eta.source.n, tuple(sizes))
+    """Coarsen the source partition by merging the blocks of each run of
+    equal images; monotonicity makes the runs the fibers."""
+    lengths = _runs(eta.images)[0]
+    blocks = iter(eta.source.block_sizes)
+    return OrderedPartition._shared(eta.source.n, tuple([sum(islice(blocks, k)) for k in lengths]))
 
 
 def image_absorption(eta: BlockMap) -> OrderedPartition:
-    """Coarsen the target partition onto the image blocks of eta.
+    """Coarsen the target partition onto the image blocks of eta, the values
+    of its runs.
 
     Each image block absorbs the unhit blocks since the previous image block;
     the last image block also absorbs the tail.  With a single image block
     everything collapses onto it.
     """
     target = eta.target
-    hit = sorted(set(eta.images))
+    hit = _runs(eta.images)[1]
     sizes, start = [], 0
-    for pos, i in enumerate(hit):
-        end = target.num_blocks - 1 if pos == len(hit) - 1 else i
+    for end in hit[:-1] + (target.num_blocks - 1,):
         sizes.append(sum(target.block_sizes[start : end + 1]))
         start = end + 1
     return OrderedPartition._shared(target.n, tuple(sizes))
@@ -650,16 +642,14 @@ def factorize_block_map(eta: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
 
     v is the containment of p2 into its fiber coarsening, u the induced
     bijection onto the image absorption of p1, and zeta picks out the image
-    blocks.  Mirrors factorize_submap on the block level.
+    blocks.  Mirrors factorize_submap on the block level: the runs of
+    eta.images are the blocks of sigma, one per hit image block, so v sends
+    each block to its run, and all three maps are valid by construction.
     """
+    lengths, hit = _runs(eta.images)
     sigma = fiber_coarsening(eta)
     gamma = image_absorption(eta)
-    hit = sorted(set(eta.images))
-    # The runs of eta.images are the blocks of sigma, one per hit image
-    # block: v sends each block to its run, and all three maps are valid by
-    # construction.
-    run_of = {j: r for r, j in enumerate(hit)}
-    zeta = BlockMap._trusted(gamma, eta.target, tuple(hit))
+    zeta = BlockMap._trusted(gamma, eta.target, hit)
     u = BlockMap._trusted(sigma, gamma, tuple(range(len(hit))))
-    v = BlockMap._trusted(eta.source, sigma, tuple(run_of[j] for j in eta.images))
+    v = BlockMap._trusted(eta.source, sigma, tuple([r for r, k in enumerate(lengths) for _ in range(k)]))
     return zeta, u, v

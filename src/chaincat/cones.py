@@ -351,10 +351,6 @@ def mset(cone: Cone) -> frozenset:
     return _mset_unchecked(cone)
 
 
-def is_normal(cone: Cone) -> bool:
-    return bool(mset(cone))
-
-
 class _Products:
     """The cone products of one semigroup build, by code.
 

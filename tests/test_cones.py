@@ -7,7 +7,6 @@ from chaincat.cones import (
     cone_mul,
     cone_semigroup,
     enumerate_normal_cones,
-    is_normal,
     mset,
     validate_cone,
 )
@@ -42,7 +41,7 @@ class TestValidate:
         corrupted = Cone(lcat3, cone.vertex, bad)
         assert not validate_cone(corrupted)
         with pytest.raises(ValueError):
-            is_normal(corrupted)
+            mset(corrupted)
 
 
 class TestImmutability:
@@ -117,7 +116,7 @@ class TestMSet:
 
     def test_normal_iff_mset_nonempty(self, lcat3):
         for a in enumerate_oxn(3):
-            assert is_normal(lcat3.principal_cone(a))
+            assert mset(lcat3.principal_cone(a))
 
 
 class TestConeMul:

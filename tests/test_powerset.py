@@ -51,8 +51,9 @@ class TestProvider:
                         fiber_max[f(x)] = x
                     cross = Subset.of(4, fiber_max.values())
                     q2 = SubMap(a, cross, tuple(fiber_max[f(x)] for x in a.elements))
-                    u2 = SubMap(cross, f.image(), tuple(f(x) for x in cross.elements))
-                    j2 = SubMap.inclusion(f.image(), b)
+                    img = Subset.of(4, f.values)
+                    u2 = SubMap(cross, img, tuple(f(x) for x in cross.elements))
+                    j2 = SubMap.inclusion(img, b)
                     assert q2.then(u2).then(j2) == f
                     assert SubMap.inclusion(cross, a).then(q2) == SubMap.identity(cross)
                     assert u2.is_bijective()

@@ -31,7 +31,6 @@ UNREACHED = {
     "chain.SubMap.is_identity",
     "chain.Subset.full",
     "chain.green",
-    "cones.is_normal",
     # failure path only: entered when a check fails, a build raises or a
     # cone is mutated
     "cones.Cone.__repr__",

@@ -1,7 +1,7 @@
-"""Composites, containments and canonical forms built inside the library
-skip validation; these tests hold them to the validating constructors, the
-unvalidated maps to the size of validated ones, and the cached kernels and
-images to a fresh computation."""
+"""Composites, containments, enumerated hom-sets and canonical forms built
+inside the library skip validation; these tests hold them to the validating
+constructors, the unvalidated maps to the size of validated ones, and the
+cached kernels and images to a fresh computation."""
 
 import tracemalloc
 from itertools import groupby
@@ -14,12 +14,15 @@ from chaincat.chain import (
     OrderedPartition,
     SubMap,
     Subset,
+    block_maps_between,
     compose,
     enumerate_oxn,
+    factorize_submap,
     fiber_coarsening,
     image,
     image_absorption,
     kernel,
+    submaps_between,
 )
 from chaincat.ideals import r_canonical
 from chaincat.verify import left_category, partition_category, powerset_category, right_category
@@ -44,7 +47,9 @@ def _rebuilt(value):
     """The same morphism value, built again through its validating constructor."""
     if isinstance(value, SubMap):
         return SubMap(value.domain, value.codomain, value.values)
-    return type(value)(BlockMap(value.eta.source, value.eta.target, value.eta.images))
+    if isinstance(value, BlockMap):
+        return BlockMap(value.source, value.target, value.images)
+    return type(value)(_rebuilt(value.eta))
 
 
 @pytest.mark.parametrize("build", [left_category, right_category, powerset_category, partition_category])
@@ -79,6 +84,19 @@ def test_containments_and_canonical_forms_equal_validated_ones(build):
         assert type(m.eta) is BlockMap
         assert m == checked and hash(m) == hash(checked)
     assert len(built) == 12 + 4 * 229 + (34 + 7) * 7
+
+
+def test_enumerated_maps_and_submap_factors_equal_validated_ones():
+    subsets = powerset_category(4).objects()
+    submaps = [f for a in subsets for b in subsets for f in submaps_between(a, b)]
+    partitions = partition_category(4).objects()
+    built = submaps + [factor for f in submaps for factor in factorize_submap(f)]
+    built += [eta for p in partitions for q in partitions for eta in block_maps_between(p, q)]
+    for m in built:
+        checked = _rebuilt(m)
+        assert type(m) is type(checked)
+        assert m == checked and hash(m) == hash(checked)
+    assert len(built) == 4 * 660 + 229
 
 
 @pytest.mark.parametrize(
@@ -133,8 +151,19 @@ def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
         lambda: SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (1, 2)),
         lambda: BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (1, 1, 1)), (2, 1)),
         lambda: BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (2, 1)), (0, 2)),
+        lambda: submaps_between(Subset(3, (1, 2)), Subset(4, (1, 2))),
+        lambda: block_maps_between(OrderedPartition(3, (1, 2)), OrderedPartition(4, (1, 3))),
     ],
-    ids=["opmap-order", "opmap-range", "submap-order", "submap-range", "blockmap-order", "blockmap-range"],
+    ids=[
+        "opmap-order",
+        "opmap-range",
+        "submap-order",
+        "submap-range",
+        "blockmap-order",
+        "blockmap-range",
+        "submaps-mixed-chains",
+        "block-maps-mixed-chains",
+    ],
 )
 def test_outside_construction_still_validates(make):
     with pytest.raises(ValueError):
@@ -142,11 +171,14 @@ def test_outside_construction_still_validates(make):
 
 
 def test_cached_kernel_and_image_match_a_fresh_computation():
-    for f in enumerate_oxn(5):
-        fresh_image = Subset(5, tuple(sorted(set(f.images))))
-        fresh_kernel = OrderedPartition(5, tuple(len(list(run)) for _, run in groupby(f.images)))
-        assert image(f) == fresh_image and kernel(f) == fresh_kernel
-        assert image(f) is image(f) and kernel(f) is kernel(f)
+    for n in range(3, 7):
+        for f in enumerate_oxn(n) + (OPMap.identity(n),):
+            fresh_image = Subset(n, tuple(sorted(set(f.images))))
+            fresh_kernel = OrderedPartition(n, tuple(len(list(run)) for _, run in groupby(f.images)))
+            assert image(f) == fresh_image and kernel(f) == fresh_kernel
+            assert hash(kernel(f)) == hash(fresh_kernel)
+            assert image(f) is image(f) and kernel(f) is kernel(f)
+            assert kernel(f) is OrderedPartition._shared(n, fresh_kernel.block_sizes)
 
 
 def test_coarsenings_are_shared_validated_partitions():
