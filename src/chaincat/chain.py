@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement, groupby, islice
+from itertools import accumulate, combinations, combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
 
@@ -232,13 +232,14 @@ class OrderedPartition:
         return self._block_index[x - 1]
 
     @cached_property
+    def _ends(self) -> tuple[int, ...]:
+        """The last element of each block, in order."""
+        return tuple(accumulate(self.block_sizes))
+
+    @cached_property
     def cuts(self) -> frozenset[int]:
         """Positions after which a block ends (excluding n)."""
-        out, total = [], 0
-        for size in self.block_sizes[:-1]:
-            total += size
-            out.append(total)
-        return frozenset(out)
+        return frozenset(self._ends[:-1])
 
     def refines(self, other: OrderedPartition) -> bool:
         """True when every block of self lies inside a block of other."""
@@ -286,13 +287,13 @@ class SubMap:
 
     @classmethod
     def identity(cls, a: Subset) -> SubMap:
-        return cls(a, a, a.elements)
+        return cls._trusted(a, a, a.elements)
 
     @classmethod
     def inclusion(cls, a: Subset, b: Subset) -> SubMap:
         if not a.issubset(b):
             raise ValueError(f"{a} is not a subset of {b}")
-        return cls(a, b, a.elements)
+        return cls._trusted(a, b, a.elements)
 
     @property
     def source(self) -> Subset:
@@ -303,7 +304,10 @@ class SubMap:
         return self.codomain
 
     def __call__(self, x: int) -> int:
-        return self.values[self.domain.elements.index(x)]
+        try:
+            return self.values[self.domain._positions[x]]
+        except KeyError:
+            raise ValueError(f"{x!r} is not in the domain {self.domain}") from None
 
     def then(self, other: SubMap) -> SubMap:
         if self.codomain != other.domain:
@@ -357,18 +361,21 @@ class BlockMap:
 
     @classmethod
     def identity(cls, p: OrderedPartition) -> BlockMap:
-        return cls(p, p, tuple(range(p.num_blocks)))
+        return cls._trusted(p, p, tuple(range(p.num_blocks)))
+
+    @classmethod
+    def _at_minima(cls, source: OrderedPartition, target: OrderedPartition) -> BlockMap:
+        """Send each block of source to the block of target holding its
+        least element.  For two partitions of one chain those images are
+        monotone and in range, so the map is built without re-validation."""
+        return cls._trusted(source, target, tuple([target.block_of(block[0]) for block in source.blocks]))
 
     @classmethod
     def containment(cls, finer: OrderedPartition, coarser: OrderedPartition) -> BlockMap:
-        """Send each block of the finer partition to the block containing it.
-
-        Refinement makes those images monotone and in range, so the map is
-        built without re-validation."""
+        """Send each block of the finer partition to the block containing it."""
         if not finer.refines(coarser):
             raise ValueError(f"{finer} does not refine {coarser}")
-        images = tuple(coarser.block_of(block[0]) for block in finer.blocks)
-        return cls._trusted(finer, coarser, images)
+        return cls._at_minima(finer, coarser)
 
     def then(self, other: BlockMap) -> BlockMap:
         if self.target != other.source:
@@ -465,16 +472,18 @@ def proper_subsets(n: int) -> tuple[Subset, ...]:
     return tuple(out)
 
 
+def _cut_after(n: int, cuts: tuple[int, ...]) -> OrderedPartition:
+    """The partition of 1..n whose blocks end after each of the increasing
+    positions ``cuts``, all in 1..n-1, and at n."""
+    return OrderedPartition._shared(n, tuple([b - a for a, b in zip((0,) + cuts, cuts + (n,))]))
+
+
 @lru_cache(maxsize=None)
 def ordered_partitions(n: int) -> tuple[OrderedPartition, ...]:
     """All non-identity ordered partitions of 1..n (compositions of n other
     than all ones), coarsest block counts first."""
     check_chain_size(n)
-    return tuple(
-        OrderedPartition(n, tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,))))
-        for k in range(1, n)
-        for cuts in combinations(range(1, n), k - 1)
-    )
+    return tuple(_cut_after(n, cuts) for k in range(1, n) for cuts in combinations(range(1, n), k - 1))
 
 
 def idempotent_for_image(a: Subset) -> OPMap:
@@ -485,26 +494,19 @@ def idempotent_for_image(a: Subset) -> OPMap:
     """
     if not a.is_proper():
         raise ValueError("image must be a proper subset; the full chain gives the identity")
-    elems = a.elements
-    values = []
-    for x in range(1, a.n + 1):
-        if x <= elems[0]:
-            values.append(elems[0])
-        elif x >= elems[-1]:
-            values.append(elems[-1])
-        else:
-            values.append(min(v for v in elems if v >= x))
-    return OPMap(tuple(values))
+    values, prev = [], 0
+    for v in a.elements:
+        values += [v] * (v - prev)
+        prev = v
+    values += [prev] * (a.n - prev)
+    return OPMap._trusted(tuple(values))
 
 
 def idempotent_for_kernel(p: OrderedPartition) -> OPMap:
     """The idempotent with the given interval kernel, fixing each block's minimum."""
     if not p.is_non_identity():
         raise ValueError("kernel must be a non-identity partition")
-    values = []
-    for block in p.blocks:
-        values.extend([block[0]] * len(block))
-    return OPMap(tuple(values))
+    return OPMap._trusted(tuple([block[0] for block in p.blocks for _ in block]))
 
 
 def retraction_for_inclusion(a_sub: Subset, a: Subset) -> SubMap:
@@ -516,18 +518,12 @@ def retraction_for_inclusion(a_sub: Subset, a: Subset) -> SubMap:
     """
     if not a_sub.issubset(a):
         raise ValueError(f"{a_sub} is not a subset of {a}")
-    elems = a_sub.elements
-    values = []
+    values, low = [], a_sub.elements[0]
     for x in a.elements:
         if x in a_sub:
-            values.append(x)
-        elif x < elems[0]:
-            values.append(elems[0])
-        elif x > elems[-1]:
-            values.append(elems[-1])
-        else:
-            values.append(max(v for v in elems if v <= x))
-    return SubMap(a, a_sub, tuple(values))
+            low = x
+        values.append(low)
+    return SubMap._trusted(a, a_sub, tuple(values))
 
 
 def separator_idempotent(x_i: int, n: int) -> OPMap:
@@ -537,9 +533,9 @@ def separator_idempotent(x_i: int, n: int) -> OPMap:
     multiplication by it distinguishes any two kernel-equivalent maps whose
     first differing image values straddle x_i.
     """
-    if not 1 <= x_i < n:
-        raise ValueError(f"separator position must satisfy 1 <= x_i < n, got {x_i} for n={n}")
-    return OPMap((x_i,) * x_i + (x_i + 1,) * (n - x_i))
+    if type(x_i) is not int or type(n) is not int or not 1 <= x_i < n:
+        raise ValueError(f"separator position must be an int with 1 <= x_i < n, got {x_i!r} for n={n!r}")
+    return OPMap._trusted((x_i,) * x_i + (x_i + 1,) * (n - x_i))
 
 
 def restrict(f: OPMap, a: Subset, codomain: Subset) -> SubMap:
@@ -612,44 +608,23 @@ def factorize_submap(f: SubMap) -> tuple[SubMap, SubMap, SubMap]:
     return q, u, j
 
 
-def fiber_coarsening(eta: BlockMap) -> OrderedPartition:
-    """Coarsen the source partition by merging the blocks of each run of
-    equal images; monotonicity makes the runs the fibers."""
-    lengths = _runs(eta.images)[0]
-    blocks = iter(eta.source.block_sizes)
-    return OrderedPartition._shared(eta.source.n, tuple([sum(islice(blocks, k)) for k in lengths]))
-
-
-def image_absorption(eta: BlockMap) -> OrderedPartition:
-    """Coarsen the target partition onto the image blocks of eta, the values
-    of its runs.
-
-    Each image block absorbs the unhit blocks since the previous image block;
-    the last image block also absorbs the tail.  With a single image block
-    everything collapses onto it.
-    """
-    target = eta.target
-    hit = _runs(eta.images)[1]
-    sizes, start = [], 0
-    for end in hit[:-1] + (target.num_blocks - 1,):
-        sizes.append(sum(target.block_sizes[start : end + 1]))
-        start = end + 1
-    return OrderedPartition._shared(target.n, tuple(sizes))
-
-
 def factorize_block_map(eta: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
     """Split eta: p2 -> p1 as (zeta, u, v) with eta = v then u then zeta.
 
-    v is the containment of p2 into its fiber coarsening, u the induced
-    bijection onto the image absorption of p1, and zeta picks out the image
-    blocks.  Mirrors factorize_submap on the block level: the runs of
-    eta.images are the blocks of sigma, one per hit image block, so v sends
-    each block to its run, and all three maps are valid by construction.
+    Mirrors factorize_submap on the block level, and reads everything off
+    the runs of eta.images.  The fiber coarsening sigma of p2 merges the
+    blocks of each run, so it is cut where each run but the last ends.  The
+    image absorption gamma of p1 lets each hit block absorb the unhit blocks
+    since the previous hit one, and the last hit block the tail, so it is
+    cut after each hit block but the last.  v sends each block of p2 to its
+    run, u is the bijection sigma -> gamma, and zeta picks out the hit
+    blocks; all three maps are valid by construction.
     """
     lengths, hit = _runs(eta.images)
-    sigma = fiber_coarsening(eta)
-    gamma = image_absorption(eta)
-    zeta = BlockMap._trusted(gamma, eta.target, hit)
+    p2, p1 = eta.source, eta.target
+    sigma = _cut_after(p2.n, tuple([p2._ends[k - 1] for k in accumulate(lengths[:-1])]))
+    gamma = _cut_after(p1.n, tuple([p1._ends[j] for j in hit[:-1]]))
+    zeta = BlockMap._trusted(gamma, p1, hit)
     u = BlockMap._trusted(sigma, gamma, tuple(range(len(hit))))
-    v = BlockMap._trusted(eta.source, sigma, tuple([r for r, k in enumerate(lengths) for _ in range(k)]))
+    v = BlockMap._trusted(p2, sigma, tuple([r for r, k in enumerate(lengths) for _ in range(k)]))
     return zeta, u, v

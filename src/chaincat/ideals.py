@@ -240,8 +240,11 @@ class RCategory(FiniteCategory):
         return self._inclusions[key]
 
     def retraction(self, a: OrderedPartition, b: OrderedPartition) -> RMorphism:
-        """Picks for each block of a the block of b holding its minimum."""
-        return RMorphism(BlockMap(a, b, tuple(b.block_of(block[0]) for block in a.blocks)))
+        """Picks for each block of a the block of b holding its minimum;
+        b must refine a."""
+        if not b.refines(a):
+            raise ValueError(f"{b} does not refine {a}")
+        return RMorphism(BlockMap._at_minima(a, b))
 
     def normal_factorize(self, m: RMorphism):
         return factorize_pi(m)

@@ -416,6 +416,13 @@ class TestSubMap:
     def test_enumeration_count(self):
         assert len(submaps_between(subset(3, 1, 2), subset(3, 1, 3))) == 3
 
+    def test_call_off_the_domain(self):
+        f = SubMap(subset(4, 1, 3), subset(4, 2, 4), (2, 4))
+        assert (f(1), f(3)) == (2, 4)
+        for x in (2, 5):
+            with pytest.raises(ValueError, match=rf"^{x} is not in the domain \{{1,3\}}$"):
+                f(x)
+
 
 class TestFactorizations:
     def test_submap_example(self):

@@ -3,6 +3,7 @@ import pytest
 from chaincat.chain import (
     BlockMap,
     OPMap,
+    OrderedPartition,
     SubMap,
     Subset,
     compose,
@@ -28,7 +29,14 @@ from chaincat.semigroups import (
     is_homomorphism,
     opposite,
 )
-from chaincat.verify import left_category, oxn_semigroup, phi_into_tr, right_category
+from chaincat.verify import (
+    left_category,
+    oxn_semigroup,
+    partition_category,
+    phi_into_tr,
+    powerset_category,
+    right_category,
+)
 
 
 def sub(n, *elems):
@@ -386,3 +394,23 @@ class TestPhiRepresentation:
         obj = kernel(e)
         ca, cb = cat.dual_principal_cone(a), cat.dual_principal_cone(b)
         assert ca.components[obj] != cb.components[obj]
+
+
+@pytest.mark.parametrize(
+    "build,a,b",
+    [
+        (left_category, Subset(4, (1, 3)), Subset(4, (2, 3))),
+        (powerset_category, Subset(4, (1, 3)), Subset(4, (2, 3))),
+        (right_category, OrderedPartition(4, (2, 2)), OrderedPartition(4, (1, 3))),
+        (partition_category, OrderedPartition(4, (2, 2)), OrderedPartition(4, (1, 3))),
+    ],
+    ids=["L", "Po", "R", "Pi"],
+)
+def test_incomparable_objects_have_no_inclusion_or_retraction(build, a, b):
+    cat = build(4)
+    for x, y in ((a, b), (b, a)):
+        assert not cat.leq(x, y)
+        with pytest.raises(ValueError):
+            cat.inclusion(x, y)
+        with pytest.raises(ValueError):
+            cat.retraction(x, y)

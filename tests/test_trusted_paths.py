@@ -1,8 +1,12 @@
-"""Composites, containments, enumerated hom-sets and canonical forms built
-inside the library skip validation; these tests hold them to the validating
-constructors, the unvalidated maps to the size of validated ones, and the
-cached kernels and images to a fresh computation."""
+"""Composites, containments, identities, inclusions, retractions,
+idempotents, enumerated hom-sets and canonical forms built inside the
+library skip validation; these tests hold them to the validating
+constructors, the unvalidated maps to the size of validated ones, the
+cached kernels and images to a fresh computation, and the factorization
+oracles to their independence from what they check."""
 
+import ast
+import inspect
 import tracemalloc
 from itertools import groupby
 
@@ -17,15 +21,25 @@ from chaincat.chain import (
     block_maps_between,
     compose,
     enumerate_oxn,
+    factorize_block_map,
     factorize_submap,
-    fiber_coarsening,
+    idempotent_for_image,
+    idempotent_for_kernel,
     image,
-    image_absorption,
     kernel,
+    ordered_partitions,
+    separator_idempotent,
     submaps_between,
 )
 from chaincat.ideals import r_canonical
-from chaincat.verify import left_category, partition_category, powerset_category, right_category
+from chaincat.verify import (
+    _gamma_oracle,
+    _sigma_oracle,
+    left_category,
+    partition_category,
+    powerset_category,
+    right_category,
+)
 
 
 def test_compose_equals_validated_map_on_ox4():
@@ -44,7 +58,9 @@ def test_compose_on_a_one_point_chain():
 
 
 def _rebuilt(value):
-    """The same morphism value, built again through its validating constructor."""
+    """The same map, built again through its validating constructor."""
+    if isinstance(value, OPMap):
+        return OPMap(value.images)
     if isinstance(value, SubMap):
         return SubMap(value.domain, value.codomain, value.values)
     if isinstance(value, BlockMap):
@@ -84,6 +100,32 @@ def test_containments_and_canonical_forms_equal_validated_ones(build):
         assert type(m.eta) is BlockMap
         assert m == checked and hash(m) == hash(checked)
     assert len(built) == 12 + 4 * 229 + (34 + 7) * 7
+
+
+@pytest.mark.parametrize("build", [left_category, right_category, powerset_category, partition_category])
+def test_identities_inclusions_and_retractions_equal_validated_ones(build):
+    cat = build(4)
+    pairs = cat.subobject_pairs()
+    built = [cat.identity(a) for a in cat.objects()]
+    built += [m for a, b in pairs for m in (cat.inclusion(a, b), cat.retraction(a, b))]
+    for m in built:
+        checked = _rebuilt(m)
+        assert m == checked and hash(m) == hash(checked)
+    assert len(built) == {14: 14 + 2 * 36, 7: 7 + 2 * 12}[len(cat.objects())]
+
+
+def test_idempotents_equal_validated_maps():
+    subsets, partitions = left_category(4).objects(), right_category(4).objects()
+    for e, obj, key in [(idempotent_for_image(a), a, image) for a in subsets] + [
+        (idempotent_for_kernel(p), p, kernel) for p in partitions
+    ]:
+        checked = _rebuilt(e)
+        assert e == checked and hash(e) == hash(checked)
+        assert e.is_idempotent() and key(e) == obj
+    for n in range(3, 8):
+        for x in range(1, n):
+            e = separator_idempotent(x, n)
+            assert e == _rebuilt(e) and e.is_idempotent()
 
 
 def test_enumerated_maps_and_submap_factors_equal_validated_ones():
@@ -153,6 +195,8 @@ def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
         lambda: BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (2, 1)), (0, 2)),
         lambda: submaps_between(Subset(3, (1, 2)), Subset(4, (1, 2))),
         lambda: block_maps_between(OrderedPartition(3, (1, 2)), OrderedPartition(4, (1, 3))),
+        lambda: separator_idempotent(True, 3),
+        lambda: separator_idempotent(2, 4.0),
     ],
     ids=[
         "opmap-order",
@@ -163,6 +207,8 @@ def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
         "blockmap-range",
         "submaps-mixed-chains",
         "block-maps-mixed-chains",
+        "separator-bool",
+        "separator-float-chain",
     ],
 )
 def test_outside_construction_still_validates(make):
@@ -181,10 +227,31 @@ def test_cached_kernel_and_image_match_a_fresh_computation():
             assert kernel(f) is OrderedPartition._shared(n, fresh_kernel.block_sizes)
 
 
-def test_coarsenings_are_shared_validated_partitions():
-    cat = partition_category(4)
-    etas = [m.eta for a in cat.objects() for b in cat.objects() for m in cat.hom(a, b)]
-    for p in [f(eta) for eta in etas for f in (fiber_coarsening, image_absorption)]:
-        checked = OrderedPartition(p.n, p.block_sizes)
-        assert p == checked and hash(p) == hash(checked) and p.blocks == checked.blocks
-        assert p is OrderedPartition._shared(p.n, p.block_sizes)
+def test_block_factorization_partitions_are_shared_and_match_the_oracles():
+    for n in range(3, 6):
+        cat = partition_category(n)
+        objs = cat.objects()
+        for eta in [m.eta for a in objs for b in objs for m in cat.hom(a, b)]:
+            zeta, u, v = factorize_block_map(eta)
+            assert v.target is u.source and u.target is zeta.source
+            for p, oracle in ((u.source, _sigma_oracle), (u.target, _gamma_oracle)):
+                checked = OrderedPartition(p.n, p.block_sizes)
+                assert p == checked and hash(p) == hash(checked) and p.blocks == checked.blocks
+                assert p is OrderedPartition._shared(p.n, p.block_sizes)
+                assert p == oracle(eta)
+
+
+def test_ordered_partitions_are_shared_validated_instances():
+    for n in range(3, 8):
+        for p in ordered_partitions(n):
+            assert p == OrderedPartition(n, p.block_sizes)
+            assert p is OrderedPartition._shared(n, p.block_sizes)
+
+
+@pytest.mark.parametrize("oracle", [_sigma_oracle, _gamma_oracle])
+def test_factorization_oracles_share_no_code_with_the_factorization(oracle):
+    tree = ast.parse(inspect.getsource(oracle))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    forbidden = {"_runs", "_cut_after", "_trusted", "_shared", "factorize_block_map", "factorize_pi"}
+    assert not named & forbidden
