@@ -105,9 +105,8 @@ def test_containments_and_canonical_forms_equal_validated_ones(build):
 @pytest.mark.parametrize("build", [left_category, right_category, powerset_category, partition_category])
 def test_identities_inclusions_and_retractions_equal_validated_ones(build):
     cat = build(4)
-    pairs = cat.subobject_pairs()
     built = [cat.identity(a) for a in cat.objects()]
-    built += [m for a, b in pairs for m in (cat.inclusion(a, b), cat.retraction(a, b))]
+    built += [m for a, b in cat.subobject_pairs() for m in (cat.inclusion(a, b), cat.retraction(a, b))]
     for m in built:
         checked = _rebuilt(m)
         assert m == checked and hash(m) == hash(checked)
@@ -115,10 +114,9 @@ def test_identities_inclusions_and_retractions_equal_validated_ones(build):
 
 
 def test_idempotents_equal_validated_maps():
-    subsets, partitions = left_category(4).objects(), right_category(4).objects()
-    for e, obj, key in [(idempotent_for_image(a), a, image) for a in subsets] + [
-        (idempotent_for_kernel(p), p, kernel) for p in partitions
-    ]:
+    idempotents = [(idempotent_for_image(a), image, a) for a in left_category(4).objects()]
+    idempotents += [(idempotent_for_kernel(p), kernel, p) for p in right_category(4).objects()]
+    for e, key, obj in idempotents:
         checked = _rebuilt(e)
         assert e == checked and hash(e) == hash(checked)
         assert e.is_idempotent() and key(e) == obj
