@@ -1,9 +1,15 @@
 """The finite chain, its order-preserving self-maps, and the combinatorial
 data attached to them: images, interval kernels, subsets, submaps and block
-maps.  Everything downstream works pointwise on the values stored here."""
+maps.  Everything downstream works pointwise on the values stored here.
+
+Values built from outside are validated on construction.  Values the library
+builds from valid ones (composites, images, kernels, factors, enumerated
+hom-sets) go through each class's ``_trusted`` (``OrderedPartition._shared``
+for partitions) and skip the check."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, groupby
@@ -43,42 +49,53 @@ def check_chain_size(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class OPMap:
+class OPMap(namedtuple("OPMap", "images")):
     """A total order-preserving self-map of the chain 1..n.
 
     Stored as its image sequence: ``images[x-1]`` is the value of the map at
     ``x``.  Composition is left to right, so ``(f * g)(x) = g(f(x))``.
     Built from outside, the sequence is validated; composites built inside
     the library go through ``_trusted`` and skip the check.
+
+    The map is the 1-tuple ``(images,)``, so hashing and equality are
+    tuple's, run in C, and a map hashes as ``hash((images,))``.  It equals
+    every other OPMap with the same images and the bare tuple
+    ``(images,)``, and nothing else; the other tuple operations (``len``,
+    iteration, ``+``, ordering) act on that 1-tuple too.  It is immutable:
+    no attribute can be set or deleted, and the image and kernel are cached
+    in its ``__dict__`` by ``cached_property``, which writes there directly.
     """
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_tuple(self.images)
-        n = len(self.images)
+    def __new__(cls, images: tuple[int, ...]) -> OPMap:
+        _check_tuple(images)
+        n = len(images)
         if n == 0:
             raise ValueError("empty image sequence")
         prev = 1
-        for v in self.images:
+        for v in images:
             if type(v) is not int or not 1 <= v <= n:
-                raise ValueError(f"value {v!r} is not an int in 1..{n} in {self.images}")
+                raise ValueError(f"value {v!r} is not an int in 1..{n} in {images}")
             if v < prev:
-                raise ValueError(f"image sequence {self.images} is not monotone")
+                raise ValueError(f"image sequence {images} is not monotone")
             prev = v
+        return tuple.__new__(cls, (images,))
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> OPMap:
-        """Build without validation, for image sequences known to be valid.
+        """Build without validation, for image sequences known to be valid."""
+        return tuple.__new__(cls, (images,))
 
-        Fields are set with ``object.__setattr__``, as the dataclass
-        ``__init__`` does; writing them through ``f.__dict__`` would give each
-        map a real dict and more than double its size.
-        """
-        f = object.__new__(cls)
-        object.__setattr__(f, "images", images)
-        return f
+    @classmethod
+    def _make(cls, fields) -> OPMap:
+        """namedtuple's constructor from a field sequence, which ``_replace``
+        also calls, validated like ``OPMap(images)``."""
+        return cls(*fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OPMaps are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("OPMaps are immutable")
 
     @classmethod
     def identity(cls, n: int) -> OPMap:
@@ -93,7 +110,10 @@ class OPMap:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
-        return self.images[x - 1]
+        images = self.images
+        if type(x) is not int or not 1 <= x <= len(images):
+            raise ValueError(f"{x!r} is not a point of the chain 1..{len(images)}")
+        return images[x - 1]
 
     def __mul__(self, other: OPMap) -> OPMap:
         return compose(self, other)
@@ -113,7 +133,7 @@ class OPMap:
 
     @cached_property
     def _image(self) -> Subset:
-        return Subset.of(self.n, self.images)
+        return Subset._trusted(self.n, _runs(self.images)[1])
 
     @cached_property
     def _kernel(self) -> OrderedPartition:
@@ -141,6 +161,15 @@ class Subset:
             if v <= prev:
                 raise ValueError(f"elements {self.elements} not strictly increasing")
             prev = v
+
+    @classmethod
+    def _trusted(cls, n: int, elements: tuple[int, ...]) -> Subset:
+        """Build without validation, for elements valid by construction."""
+        a = object.__new__(cls)
+        init = object.__setattr__
+        init(a, "n", n)
+        init(a, "elements", elements)
+        return a
 
     @classmethod
     def of(cls, n: int, elements) -> Subset:
@@ -408,7 +437,8 @@ def compose(f: OPMap, g: OPMap) -> OPMap:
         return g
     # itemgetter reads the values 1-based from g's images behind a pad slot;
     # with one index it would return a bare value, hence the case above.
-    return OPMap._trusted(itemgetter(*fi)((0,) + gi))
+    # This is OPMap._trusted inline, saving a Python frame on each product.
+    return tuple.__new__(OPMap, (itemgetter(*fi)((0,) + gi),))
 
 
 def image(f: OPMap) -> Subset:
@@ -600,8 +630,8 @@ def factorize_submap(f: SubMap) -> tuple[SubMap, SubMap, SubMap]:
     lengths, values = _runs(f.values)
     elements = f.domain.elements
     firsts = tuple(elements[i] for i in accumulate(lengths[:-1], initial=0))
-    cross = Subset(f.domain.n, firsts)
-    img = Subset(f.domain.n, values)
+    cross = Subset._trusted(f.domain.n, firsts)
+    img = Subset._trusted(f.domain.n, values)
     q = SubMap._trusted(f.domain, cross, tuple(x for x, k in zip(firsts, lengths) for _ in range(k)))
     u = SubMap._trusted(cross, img, values)
     j = SubMap._trusted(img, f.codomain, values)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,6 +108,53 @@ class TestOPMap:
 
     def test_str_literal(self):
         assert str(OPMap((1, 1, 2))) == "[1,1,2]"
+
+    @pytest.mark.parametrize("x", [0, -1, 4, True, 1.0])
+    def test_call_rejects_points_outside_the_chain(self, x):
+        with pytest.raises(ValueError, match=r"not a point of the chain 1\.\.3"):
+            OPMap((1, 1, 3))(x)
+
+
+class TestOPMapValue:
+    """An OPMap is the 1-tuple (images,): it hashes, compares, prints,
+    pickles and copies as the frozen dataclass it replaced did."""
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        for f in enumerate_oxn(4):
+            assert hash(f) == hash((f.images,))
+
+    def test_equals_only_maps_and_its_field_tuple(self):
+        f = OPMap((1, 1, 2))
+        assert f == OPMap._trusted((1, 1, 2)) == ((1, 1, 2),)
+        assert f != f.images
+        assert f != OPMap((1, 2, 2))
+
+    def test_repr(self):
+        assert repr(OPMap((1, 1, 2))) == "OPMap(images=(1, 1, 2))"
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips(self, clone):
+        for f in enumerate_oxn(4):
+            g = clone(f)
+            assert type(g) is OPMap and g == f and hash(g) == hash(f)
+            assert image(g) == image(f) and kernel(g) == kernel(f)
+
+    def test_refuses_attribute_assignment_and_deletion(self):
+        f = OPMap((1, 1, 2))
+        kernel(f)
+        for act in (
+            lambda: setattr(f, "images", (1, 2, 2)),
+            lambda: setattr(f, "other", 1),
+            lambda: delattr(f, "images"),
+            lambda: delattr(f, "_kernel"),
+        ):
+            with pytest.raises(AttributeError):
+                act()
+        assert f.images == (1, 1, 2) and kernel(f) == OrderedPartition(3, (2, 1))
 
 
 class TestImageKernel:

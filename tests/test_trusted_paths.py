@@ -1,9 +1,10 @@
 """Composites, containments, identities, inclusions, retractions,
-idempotents, enumerated hom-sets and canonical forms built inside the
-library skip validation; these tests hold them to the validating
-constructors, the unvalidated maps to the size of validated ones, the
-cached kernels and images to a fresh computation, and the factorization
-oracles to their independence from what they check."""
+idempotents, enumerated hom-sets, canonical forms, and the subsets of
+submap factorizations and images built inside the library skip
+validation; these tests hold them to the validating constructors, the
+unvalidated values to the size of validated ones, the cached kernels and
+images to a fresh computation, and the factorization oracles to their
+independence from what they check."""
 
 import ast
 import inspect
@@ -58,11 +59,14 @@ def test_compose_on_a_one_point_chain():
 
 
 def _rebuilt(value):
-    """The same map, built again through its validating constructor."""
+    """The same map or subset, built again through its validating
+    constructors."""
     if isinstance(value, OPMap):
         return OPMap(value.images)
+    if isinstance(value, Subset):
+        return Subset(value.n, value.elements)
     if isinstance(value, SubMap):
-        return SubMap(value.domain, value.codomain, value.values)
+        return SubMap(_rebuilt(value.domain), _rebuilt(value.codomain), value.values)
     if isinstance(value, BlockMap):
         return BlockMap(value.source, value.target, value.images)
     return type(value)(_rebuilt(value.eta))
@@ -130,13 +134,15 @@ def test_enumerated_maps_and_submap_factors_equal_validated_ones():
     subsets = powerset_category(4).objects()
     submaps = [f for a in subsets for b in subsets for f in submaps_between(a, b)]
     partitions = partition_category(4).objects()
-    built = submaps + [factor for f in submaps for factor in factorize_submap(f)]
+    factors = [factorize_submap(f) for f in submaps]
+    built = submaps + [factor for triple in factors for factor in triple]
+    built += [subset for _, u, _ in factors for subset in (u.domain, u.codomain)]
     built += [eta for p in partitions for q in partitions for eta in block_maps_between(p, q)]
     for m in built:
         checked = _rebuilt(m)
         assert type(m) is type(checked)
         assert m == checked and hash(m) == hash(checked)
-    assert len(built) == 4 * 660 + 229
+    assert len(built) == 6 * 660 + 229
 
 
 @pytest.mark.parametrize(
@@ -173,8 +179,9 @@ A, B = Subset(4, (1, 2)), Subset(4, (1, 3))
         (lambda: OPMap((1, 1, 2, 3)), lambda: OPMap._trusted((1, 1, 2, 3))),
         (lambda: SubMap(A, B, (1, 3)), lambda: SubMap._trusted(A, B, (1, 3))),
         (lambda: BlockMap(P, Q, (0, 1)), lambda: BlockMap._trusted(P, Q, (0, 1))),
+        (lambda: Subset(4, (1, 3)), lambda: Subset._trusted(4, (1, 3))),
     ],
-    ids=["opmap", "submap", "blockmap"],
+    ids=["opmap", "submap", "blockmap", "subset"],
 )
 def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
     # One byte per map of slack absorbs the allocator's own bookkeeping; a
@@ -187,6 +194,8 @@ def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
     [
         lambda: OPMap((2, 1, 3)),
         lambda: OPMap((1, 2, 4)),
+        lambda: OPMap((1, 1, 2))._replace(images=(2, 1, 3)),
+        lambda: OPMap._make([(1, 2, 4)]),
         lambda: SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (3, 1)),
         lambda: SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (1, 2)),
         lambda: BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (1, 1, 1)), (2, 1)),
@@ -199,6 +208,8 @@ def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
     ids=[
         "opmap-order",
         "opmap-range",
+        "opmap-replace",
+        "opmap-make",
         "submap-order",
         "submap-range",
         "blockmap-order",
@@ -220,7 +231,7 @@ def test_cached_kernel_and_image_match_a_fresh_computation():
             fresh_image = Subset(n, tuple(sorted(set(f.images))))
             fresh_kernel = OrderedPartition(n, tuple(len(list(run)) for _, run in groupby(f.images)))
             assert image(f) == fresh_image and kernel(f) == fresh_kernel
-            assert hash(kernel(f)) == hash(fresh_kernel)
+            assert hash(image(f)) == hash(fresh_image) and hash(kernel(f)) == hash(fresh_kernel)
             assert image(f) is image(f) and kernel(f) is kernel(f)
             assert kernel(f) is OrderedPartition._shared(n, fresh_kernel.block_sizes)
 
