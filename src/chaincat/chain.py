@@ -60,8 +60,10 @@ class OPMap(namedtuple("OPMap", "images")):
     The map is the 1-tuple ``(images,)``, so hashing and equality are
     tuple's, run in C, and a map hashes as ``hash((images,))``.  It equals
     every other OPMap with the same images and the bare tuple
-    ``(images,)``, and nothing else; the other tuple operations (``len``,
-    iteration, ``+``, ordering) act on that 1-tuple too.  It is immutable:
+    ``(images,)``, and nothing else.  ``len``, iteration and ordering act
+    on that 1-tuple too; ``f + g`` and ``k * f`` raise ``TypeError``
+    (``f * g`` composes), though ``t + f`` with a bare tuple t still
+    concatenates, since tuple's own ``+`` runs first.  It is immutable:
     no attribute can be set or deleted, and the image and kernel are cached
     in its ``__dict__`` by ``cached_property``, which writes there directly.
     """
@@ -117,6 +119,12 @@ class OPMap(namedtuple("OPMap", "images")):
 
     def __mul__(self, other: OPMap) -> OPMap:
         return compose(self, other)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return NotImplemented
 
     def is_identity(self) -> bool:
         return all(v == x for x, v in enumerate(self.images, start=1))

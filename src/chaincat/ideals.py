@@ -4,9 +4,9 @@ order-preserving maps.
 A left-ideal object is its image subset and a right-ideal object its kernel
 partition, since the ideal depends only on those.  Morphisms are kept in
 canonical form: the restriction submap, respectively the induced block map
-wrapped as an ``RMorphism``.  Hom-sets are computed honestly from semigroup
-elements rather than assumed combinatorially; the powerset and partition
-categories reuse these two classes and enumerate their hom-sets instead.
+wrapped as an ``RMorphism``.  Hom-sets come honestly from the distinct
+elements of semigroup sandwich sets, each canonicalized once; the powerset
+and partition categories reuse both classes but enumerate their hom-sets.
 """
 
 from __future__ import annotations
@@ -55,6 +55,15 @@ def l_morphism_from_triple(e_a: OPMap, u: OPMap, e_b: OPMap) -> SubMap:
     return restrict(u, a, codomain=b)
 
 
+def _sandwich_sets(category, e: OPMap, idempotent):
+    """Each object c with the distinct elements of e*S*idempotent(c), in order
+    of first occurrence over the singular maps; the products e*s are shared."""
+    left = dict.fromkeys([compose_maps(e, s) for s in enumerate_oxn(category.n)])
+    for c in category.objects():
+        e_c = idempotent(c)
+        yield c, dict.fromkeys([compose_maps(x, e_c) for x in left])
+
+
 class LCategory(FiniteCategory):
     """The category of principal left ideals of the singular monotone maps
     on a chain of size n: proper subsets as objects, submaps as morphisms,
@@ -69,17 +78,12 @@ class LCategory(FiniteCategory):
 
     def _compute_hom(self, a: Subset, b: Subset):
         """hom(a, b) as the canonical forms of the sandwich set e_a*S*e_b,
-        in order of first occurrence over the singular maps.
-
-        Fills the whole row hom(a, .) at once from the distinct one-sided
-        products e_a*s, which are dropped afterwards.
+        in order of first occurrence over the singular maps, filling the
+        whole row hom(a, .) at once.  Each distinct p in e_a*S*e_c is
+        restricted once: p = e_a*p, so p is fixed by its values on a.
         """
-        e_a = idempotent_for_image(a)
-        left = dict.fromkeys([compose_maps(e_a, s) for s in enumerate_oxn(self.n)])
-        for c in self.objects():
-            e_c = idempotent_for_image(c)
-            row = dict.fromkeys([restrict(compose_maps(x, e_c), a, codomain=c) for x in left])
-            self._hom_cache.setdefault((a, c), tuple(row))
+        for c, sandwich in _sandwich_sets(self, idempotent_for_image(a), idempotent_for_image):
+            self._hom_cache.setdefault((a, c), tuple([restrict(p, a, codomain=c) for p in sandwich]))
         return self._hom_cache[(a, b)]
 
     def compose(self, f: SubMap, g: SubMap) -> SubMap:
@@ -209,17 +213,13 @@ class RCategory(FiniteCategory):
     def _compute_hom(self, a: OrderedPartition, b: OrderedPartition):
         """hom(a, b) as the canonical forms of the sandwich set f*S*e (f, e
         the representative idempotents of b, a), in order of first
-        occurrence over the singular maps.
-
-        Fills the whole column hom(., b) at once from the distinct one-sided
-        products f*s, which are dropped afterwards.
+        occurrence over the singular maps, filling the whole column
+        hom(., b) at once.  Each distinct v in f*S*e_c is canonicalized
+        once: v = f*v = v*e_c, so v is fixed by its values at the block
+        minima of b, and those are block minima of c.
         """
-        f = idempotent_for_kernel(b)
-        right = dict.fromkeys([compose_maps(f, s) for s in enumerate_oxn(self.n)])
-        for c in self.objects():
-            e = idempotent_for_kernel(c)
-            column = dict.fromkeys([r_canonical(c, b, compose_maps(y, e)) for y in right])
-            self._hom_cache.setdefault((c, b), tuple(column))
+        for c, sandwich in _sandwich_sets(self, idempotent_for_kernel(b), idempotent_for_kernel):
+            self._hom_cache.setdefault((c, b), tuple([r_canonical(c, b, v) for v in sandwich]))
         return self._hom_cache[(a, b)]
 
     def compose(self, m1: RMorphism, m2: RMorphism) -> RMorphism:

@@ -411,8 +411,8 @@ class CheckDef:
 CHECKS: dict[str, CheckDef] = {
     "counts": CheckDef(check_counts, 3, 7),
     "green": CheckDef(check_green, 3, 5),
-    "factorize-L": CheckDef(check_factorize_l, 3, 4),
-    "factorize-Po": CheckDef(check_factorize_po, 3, 4),
+    "factorize-L": CheckDef(check_factorize_l, 3, 5),
+    "factorize-Po": CheckDef(check_factorize_po, 3, 5),
     "factorize-Pi": CheckDef(check_factorize_pi, 3, 6),
     "cones-principal": CheckDef(check_cones_principal, 3, 6),
     "TL-iso": CheckDef(check_tl_iso, 3, 5),

@@ -60,7 +60,7 @@ def test_criterion_03_normal_category_axioms():
         start = time.perf_counter()
         ok = True
         witness = None
-        for n in (3, 4):
+        for n in (3, 4, 5):
             good, _, wit = check_normal_category_axioms(make(n))
             if not good:
                 ok, witness = False, wit

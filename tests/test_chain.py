@@ -156,6 +156,14 @@ class TestOPMapValue:
                 act()
         assert f.images == (1, 1, 2) and kernel(f) == OrderedPartition(3, (2, 1))
 
+    def test_refuses_tuple_concatenation_and_repetition(self):
+        f, g = OPMap((1, 1, 2)), OPMap((2, 2, 3))
+        for act in (lambda: f + g, lambda: f + (1,), lambda: 2 * f, lambda: True * f):
+            with pytest.raises(TypeError):
+                act()
+        assert f * g == OPMap((2, 2, 2))
+        assert len(f) == 1 and list(f) == [f.images] and sorted([g, f]) == [f, g]
+
 
 class TestImageKernel:
     @pytest.mark.parametrize(

@@ -55,7 +55,7 @@ def test_cone_table_matches_plain_products(label, n):
             assert components[k] == expected, (label, i, j)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_left_hom_sets_are_literal_sandwich_sets(n):
     cat = LCategory(n)
     objs = cat.objects()
@@ -69,7 +69,7 @@ def test_left_hom_sets_are_literal_sandwich_sets(n):
             assert cat.hom(a, b) == tuple(literal), (a, b)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_right_hom_sets_are_literal_sandwich_sets(n):
     cat = RCategory(n)
     objs = cat.objects()

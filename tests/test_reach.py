@@ -32,9 +32,11 @@ UNREACHED = {
     "chain.Subset.full",
     "chain.Subset.of",
     "chain.green",
-    # failure path only: entered when a check fails, a build raises or a
-    # cone or map is mutated
+    # failure path only: entered when a check fails, a build raises, a
+    # cone or map is mutated or a map is added or repeated like a tuple
+    "chain.OPMap.__add__",
     "chain.OPMap.__delattr__",
+    "chain.OPMap.__rmul__",
     "chain.OPMap.__setattr__",
     "cones.Cone.__repr__",
     "cones.Cone.__setattr__",

@@ -51,7 +51,7 @@ class TestRunner:
         by_name = {r.check: r for r in reports}
         assert by_name["cone-regular"].n == 4
         assert by_name["cone-regular"].counts["capped_from"] == 5
-        assert by_name["factorize-L"].n == 4
+        assert by_name["factorize-L"].n == 5 and "capped_from" not in by_name["factorize-L"].counts
         assert by_name["green"].n == 5 and "capped_from" not in by_name["green"].counts
         assert all(r.status == "pass" for r in reports)
         assert len(reports) == len(CHECKS)
