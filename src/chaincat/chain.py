@@ -10,7 +10,6 @@ for partitions) and skip the check."""
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, groupby
 from math import comb
@@ -49,7 +48,49 @@ def check_chain_size(n: int) -> int:
     return n
 
 
-class OPMap(namedtuple("OPMap", "images")):
+class _TupleValue:
+    """What the carrier values below share beyond tuple.
+
+    Each value is a ``namedtuple`` subclass, so hashing and equality are
+    tuple's, run in C.  It refuses attribute assignment and deletion;
+    ``cached_property`` writes to an instance ``__dict__`` directly and
+    still works.  ``x + y``, ``x * k`` and ``k * x`` raise ``TypeError``
+    where tuple would concatenate or repeat (``f * g`` composes two
+    ``OPMap``s); ``t + x`` with a bare tuple t on the left still
+    concatenates, since tuple's own ``+`` runs first.  Ordering is tuple
+    ordering on the layout, iteration yields the fields and ``len`` counts
+    them, unless a class says otherwise.  ``_make``, which ``_replace``
+    calls, validates like the class's constructor.
+
+    A value equals the bare tuple of its layout, and the layouts keep the
+    classes apart: no value equals, or hashes like, a value of another
+    carrier class (see ``OrderedPartition`` for the one layout that had to
+    differ from the field order).
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __add__(self, other):
+        return NotImplemented
+
+    def __mul__(self, other):
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return NotImplemented
+
+
+class OPMap(_TupleValue, namedtuple("OPMap", "images")):
     """A total order-preserving self-map of the chain 1..n.
 
     Stored as its image sequence: ``images[x-1]`` is the value of the map at
@@ -57,15 +98,12 @@ class OPMap(namedtuple("OPMap", "images")):
     Built from outside, the sequence is validated; composites built inside
     the library go through ``_trusted`` and skip the check.
 
-    The map is the 1-tuple ``(images,)``, so hashing and equality are
-    tuple's, run in C, and a map hashes as ``hash((images,))``.  It equals
-    every other OPMap with the same images and the bare tuple
-    ``(images,)``, and nothing else.  ``len``, iteration and ordering act
-    on that 1-tuple too; ``f + g`` and ``k * f`` raise ``TypeError``
-    (``f * g`` composes), though ``t + f`` with a bare tuple t still
-    concatenates, since tuple's own ``+`` runs first.  It is immutable:
-    no attribute can be set or deleted, and the image and kernel are cached
-    in its ``__dict__`` by ``cached_property``, which writes there directly.
+    The map is the 1-tuple ``(images,)`` and behaves as ``_TupleValue``
+    says: it hashes as ``hash((images,))`` and equals every other OPMap
+    with the same images and the bare tuple ``(images,)``, and nothing
+    else.  ``len`` is 1, iteration yields ``images`` and ordering is the
+    lexicographic order of the images, the order of ``enumerate_oxn``.
+    The image and kernel are cached in its ``__dict__``.
     """
 
     def __new__(cls, images: tuple[int, ...]) -> OPMap:
@@ -88,18 +126,6 @@ class OPMap(namedtuple("OPMap", "images")):
         return tuple.__new__(cls, (images,))
 
     @classmethod
-    def _make(cls, fields) -> OPMap:
-        """namedtuple's constructor from a field sequence, which ``_replace``
-        also calls, validated like ``OPMap(images)``."""
-        return cls(*fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OPMaps are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("OPMaps are immutable")
-
-    @classmethod
     def identity(cls, n: int) -> OPMap:
         return cls(tuple(range(1, n + 1)))
 
@@ -118,13 +144,9 @@ class OPMap(namedtuple("OPMap", "images")):
         return images[x - 1]
 
     def __mul__(self, other: OPMap) -> OPMap:
+        if type(other) is not OPMap:
+            return NotImplemented
         return compose(self, other)
-
-    def __add__(self, other):
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return NotImplemented
 
     def is_identity(self) -> bool:
         return all(v == x for x, v in enumerate(self.images, start=1))
@@ -151,33 +173,33 @@ class OPMap(namedtuple("OPMap", "images")):
         return "[" + ",".join(map(str, self.images)) + "]"
 
 
-@dataclass(frozen=True)
-class Subset:
-    """A nonempty subset of the chain 1..n, kept as a strictly increasing tuple."""
+class Subset(_TupleValue, namedtuple("Subset", "n elements")):
+    """A nonempty subset of the chain 1..n, kept as a strictly increasing tuple.
 
-    n: int
-    elements: tuple[int, ...]
+    The value is the 2-tuple ``(n, elements)`` and behaves as
+    ``_TupleValue`` says; it hashes as ``hash((n, elements))``.  ``len``
+    counts the elements and ``in`` tests membership of a point, although
+    iteration yields the two fields ``n`` and ``elements``.  Ordering is
+    lexicographic on ``(n, elements)``, not inclusion: use ``issubset``.
+    """
 
-    def __post_init__(self):
-        _check_tuple(self.elements, self.n)
-        if not self.elements:
+    def __new__(cls, n: int, elements: tuple[int, ...]) -> Subset:
+        _check_tuple(elements, n)
+        if not elements:
             raise ValueError("subset must be nonempty")
         prev = 0
-        for v in self.elements:
-            if type(v) is not int or not 1 <= v <= self.n:
-                raise ValueError(f"element {v!r} is not an int in 1..{self.n}")
+        for v in elements:
+            if type(v) is not int or not 1 <= v <= n:
+                raise ValueError(f"element {v!r} is not an int in 1..{n}")
             if v <= prev:
-                raise ValueError(f"elements {self.elements} not strictly increasing")
+                raise ValueError(f"elements {elements} not strictly increasing")
             prev = v
+        return tuple.__new__(cls, (n, elements))
 
     @classmethod
     def _trusted(cls, n: int, elements: tuple[int, ...]) -> Subset:
         """Build without validation, for elements valid by construction."""
-        a = object.__new__(cls)
-        init = object.__setattr__
-        init(a, "n", n)
-        init(a, "elements", elements)
-        return a
+        return tuple.__new__(cls, (n, elements))
 
     @classmethod
     def of(cls, n: int, elements) -> Subset:
@@ -208,23 +230,39 @@ class Subset:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
 
-@dataclass(frozen=True)
-class OrderedPartition:
+class OrderedPartition(_TupleValue, namedtuple("OrderedPartition", "block_sizes n")):
     """A partition of 1..n into consecutive intervals, stored by block sizes.
 
     Storing sizes makes the interval property structural: the i-th block is
     always the run of ``block_sizes[i]`` elements after the first i runs.
+
+    The value is the 2-tuple ``(block_sizes, n)`` and behaves as
+    ``_TupleValue`` says.  The sizes come first so that no partition equals
+    a ``Subset``: ``(n, elements)`` would make the one-block partition
+    ``(3,)`` of 1..3 equal the subset ``{3}``.  It is built, pickled,
+    copied and printed as ``OrderedPartition(n, block_sizes)`` all the
+    same, and hashes as ``hash((block_sizes, n))``.  Ordering compares the
+    block sizes first, not refinement: use ``refines``.
     """
 
-    n: int
-    block_sizes: tuple[int, ...]
+    def __new__(cls, n: int, block_sizes: tuple[int, ...]) -> OrderedPartition:
+        _check_tuple(block_sizes, n)
+        if not block_sizes or any(type(k) is not int or k <= 0 for k in block_sizes):
+            raise ValueError(f"block sizes must be positive ints, got {block_sizes}")
+        if sum(block_sizes) != n:
+            raise ValueError(f"block sizes {block_sizes} do not sum to {n}")
+        return tuple.__new__(cls, (block_sizes, n))
 
-    def __post_init__(self):
-        _check_tuple(self.block_sizes, self.n)
-        if not self.block_sizes or any(type(k) is not int or k <= 0 for k in self.block_sizes):
-            raise ValueError(f"block sizes must be positive ints, got {self.block_sizes}")
-        if sum(self.block_sizes) != self.n:
-            raise ValueError(f"block sizes {self.block_sizes} do not sum to {self.n}")
+    @classmethod
+    def _make(cls, fields) -> OrderedPartition:
+        block_sizes, n = fields
+        return cls(n, block_sizes)
+
+    def __getnewargs__(self):
+        return self.n, self.block_sizes
+
+    def __repr__(self) -> str:
+        return f"OrderedPartition(n={self.n!r}, block_sizes={self.block_sizes!r})"
 
     @classmethod
     def identity(cls, n: int) -> OrderedPartition:
@@ -235,10 +273,7 @@ class OrderedPartition:
     def _shared(n: int, block_sizes: tuple[int, ...]) -> OrderedPartition:
         """The one trusted instance for block sizes known to be valid, so
         its blocks, cuts and block index are computed once per process."""
-        p = object.__new__(OrderedPartition)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "block_sizes", block_sizes)
-        return p
+        return tuple.__new__(OrderedPartition, (block_sizes, n))
 
     @property
     def num_blocks(self) -> int:
@@ -286,41 +321,36 @@ class OrderedPartition:
         return "(" + ",".join(map(str, self.block_sizes)) + ")"
 
 
-@dataclass(frozen=True)
-class SubMap:
+class SubMap(_TupleValue, namedtuple("SubMap", "domain codomain values")):
     """An order-preserving map between two subsets of the same chain.
 
     ``values[i]`` is the image of ``domain.elements[i]`` and must lie in the
-    codomain.
+    codomain.  The value is the 3-tuple ``(domain, codomain, values)`` and
+    behaves as ``_TupleValue`` says; it hashes as
+    ``hash((domain, codomain, values))``.
     """
 
-    domain: Subset
-    codomain: Subset
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_tuple(self.values)
-        if self.domain.n != self.codomain.n:
+    def __new__(cls, domain: Subset, codomain: Subset, values: tuple[int, ...]) -> SubMap:
+        _check_tuple(values)
+        if domain.n != codomain.n:
             raise ValueError("domain and codomain live on different chains")
-        if len(self.values) != len(self.domain):
-            raise ValueError(f"need {len(self.domain)} values, got {len(self.values)}")
+        if len(values) != len(domain):
+            raise ValueError(f"need {len(domain)} values, got {len(values)}")
         prev = 0
-        for v in self.values:
-            if type(v) is not int or v not in self.codomain:
-                raise ValueError(f"value {v!r} is not an int in codomain {self.codomain}")
+        for v in values:
+            if type(v) is not int or v not in codomain:
+                raise ValueError(f"value {v!r} is not an int in codomain {codomain}")
             if v < prev:
-                raise ValueError(f"values {self.values} not monotone")
+                raise ValueError(f"values {values} not monotone")
             prev = v
+        return tuple.__new__(cls, (domain, codomain, values))
 
     @classmethod
     def _trusted(cls, domain: Subset, codomain: Subset, values: tuple[int, ...]) -> SubMap:
         """Build without validation, for values valid by construction."""
-        f = object.__new__(cls)
-        init = object.__setattr__
-        init(f, "domain", domain)
-        init(f, "codomain", codomain)
-        init(f, "values", values)
-        return f
+        return tuple.__new__(cls, (domain, codomain, values))
 
     @classmethod
     def identity(cls, a: Subset) -> SubMap:
@@ -362,39 +392,34 @@ class SubMap:
         return "[" + ",".join(map(str, self.values)) + "]"
 
 
-@dataclass(frozen=True)
-class BlockMap:
+class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
     """An order-preserving map between the block chains of two ordered
     partitions of the same chain.  Block indices are 0-based; ``images[i]``
-    is the target block index of source block i."""
+    is the target block index of source block i.  The value is the 3-tuple
+    ``(source, target, images)`` and behaves as ``_TupleValue`` says; it
+    hashes as ``hash((source, target, images))``."""
 
-    source: OrderedPartition
-    target: OrderedPartition
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_tuple(self.images)
-        if self.source.n != self.target.n:
+    def __new__(cls, source: OrderedPartition, target: OrderedPartition, images: tuple[int, ...]) -> BlockMap:
+        _check_tuple(images)
+        if source.n != target.n:
             raise ValueError("source and target partition different chains")
-        if len(self.images) != self.source.num_blocks:
-            raise ValueError(f"need {self.source.num_blocks} block images, got {len(self.images)}")
+        if len(images) != source.num_blocks:
+            raise ValueError(f"need {source.num_blocks} block images, got {len(images)}")
         prev = 0
-        for j in self.images:
-            if type(j) is not int or not 0 <= j < self.target.num_blocks:
-                raise ValueError(f"block index {j!r} is not an int in range for {self.target}")
+        for j in images:
+            if type(j) is not int or not 0 <= j < target.num_blocks:
+                raise ValueError(f"block index {j!r} is not an int in range for {target}")
             if j < prev:
-                raise ValueError(f"block images {self.images} not monotone")
+                raise ValueError(f"block images {images} not monotone")
             prev = j
+        return tuple.__new__(cls, (source, target, images))
 
     @classmethod
     def _trusted(cls, source: OrderedPartition, target: OrderedPartition, images: tuple[int, ...]) -> BlockMap:
         """Build without validation, for values valid by construction."""
-        f = object.__new__(cls)
-        init = object.__setattr__
-        init(f, "source", source)
-        init(f, "target", target)
-        init(f, "images", images)
-        return f
+        return tuple.__new__(cls, (source, target, images))
 
     @classmethod
     def identity(cls, p: OrderedPartition) -> BlockMap:

@@ -497,13 +497,16 @@ def cone_json(cone: Cone) -> dict:
 # ---------------------------------------------------------------------------
 # whole-category checks
 
-def check_normal_category_axioms(category: FiniteCategory) -> tuple[bool, dict, dict | None]:
+def check_normal_category_axioms(category: FiniteCategory, on_factorization=None) -> tuple[bool, dict, dict | None]:
     """Verify the normal-category axioms exhaustively.
 
     Checks that the subobject order is a partial order realized by composable
     inclusions, that every inclusion splits via its canonical retraction, that
     every morphism's normal factorization has the right shape and recomposes,
-    and that every object carries an idempotent normal cone.
+    and that every object carries an idempotent normal cone.  Each morphism
+    f is factorized once; ``on_factorization(f, q, u, j)``, when given, is
+    called with every factorization that passes, so a caller can compare
+    it with something else without factorizing again.
     Returns (ok, counts, witness).
     """
     objs = category.objects()
@@ -577,6 +580,8 @@ def check_normal_category_axioms(category: FiniteCategory) -> tuple[bool, dict, 
                     return fail("factorization-inclusion", morphism=category.morphism_label(f))
                 if category.compose(category.compose(q, u), j) != f:
                     return fail("factorization-recompose", morphism=category.morphism_label(f))
+                if on_factorization is not None:
+                    on_factorization(f, q, u, j)
     for a in objs:
         counts["cones"] += 1
         gamma = category.idempotent_cone(a)

@@ -11,7 +11,7 @@ and partition categories reuse both classes but enumerate their hom-sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chain import (
     BlockMap,
@@ -19,6 +19,7 @@ from .chain import (
     OrderedPartition,
     SubMap,
     Subset,
+    _TupleValue,
     check_chain_size,
     enumerate_oxn,
     factorize_block_map,
@@ -132,13 +133,17 @@ class LCategory(FiniteCategory):
         return Cone(self, vertex, components)
 
 
-@dataclass(frozen=True)
-class RMorphism:
+class RMorphism(_TupleValue, namedtuple("RMorphism", "eta")):
     """A partial left translation between principal right ideals, in its
     canonical form: the block map eta from the target kernel back to the
-    source kernel.  Morphisms compose contravariantly on eta."""
+    source kernel.  Morphisms compose contravariantly on eta.
 
-    eta: BlockMap
+    The value is the 1-tuple ``(eta,)`` and behaves as ``_TupleValue``
+    in ``chain`` says; it hashes as ``hash((eta,))``.  It equals no
+    ``OPMap``, whose one field holds ints, not a block map.
+    """
+
+    __slots__ = ()
 
     @property
     def source(self) -> OrderedPartition:

@@ -10,6 +10,7 @@ from chaincat.chain import (
     OrderedPartition,
     SubMap,
     Subset,
+    block_maps_between,
     check_chain_size,
     compose,
     enumerate_oxn,
@@ -30,6 +31,7 @@ from chaincat.chain import (
     separator_idempotent,
     submaps_between,
 )
+from chaincat.ideals import RMorphism
 
 
 @st.composite
@@ -163,6 +165,139 @@ class TestOPMapValue:
                 act()
         assert f * g == OPMap((2, 2, 2))
         assert len(f) == 1 and list(f) == [f.images] and sorted([g, f]) == [f, g]
+
+
+def carrier_values(n: int) -> dict[type, list]:
+    """Every value of the six carrier classes on the chain 1..n, identities,
+    the full subset and the all-singleton partition included."""
+    subsets = list(proper_subsets(n)) + [Subset.full(n)]
+    partitions = list(ordered_partitions(n)) + [OrderedPartition.identity(n)]
+    block_maps = [eta for p in partitions for q in partitions for eta in block_maps_between(p, q)]
+    return {
+        OPMap: list(enumerate_oxn(n)) + [OPMap.identity(n)],
+        Subset: subsets,
+        OrderedPartition: partitions,
+        SubMap: [f for a in subsets for b in subsets for f in submaps_between(a, b)],
+        BlockMap: block_maps,
+        RMorphism: [RMorphism(eta) for eta in block_maps],
+    }
+
+
+def fill_caches(x) -> None:
+    """Compute every cached property of a carrier value, so its
+    ``__dict__`` holds them when it is pickled or copied."""
+    if type(x) is OPMap:
+        image(x), kernel(x)
+    elif type(x) is Subset:
+        x._positions
+    elif type(x) is OrderedPartition:
+        x.blocks, x._block_index, x.cuts
+
+
+# The fields of each class in the order of the frozen dataclass it
+# replaced, whose hash was the hash of this tuple of fields.
+DATACLASS_FIELDS = {
+    OPMap: ("images",),
+    Subset: ("n", "elements"),
+    OrderedPartition: ("n", "block_sizes"),
+    SubMap: ("domain", "codomain", "values"),
+    BlockMap: ("source", "target", "images"),
+    RMorphism: ("eta",),
+}
+
+
+def _bare(x):
+    """x with every carrier value in it replaced by a bare tuple of its
+    fields in dataclass order: the tuple whose hash the dataclass had."""
+    if type(x) in DATACLASS_FIELDS:
+        return tuple(_bare(getattr(x, f)) for f in DATACLASS_FIELDS[type(x)])
+    return x
+
+
+@pytest.mark.parametrize("n", [3, 4])
+class TestCarrierValues:
+    """The six carrier classes are namedtuple subclasses: equality and
+    hashing are tuple's, values of different classes never meet, and the
+    tuple operations the dataclasses lacked either raise or are pinned."""
+
+    def test_no_value_meets_a_value_of_another_class(self, n):
+        owner, hash_owner = {}, {}
+        for cls, values in carrier_values(n).items():
+            assert all(type(x) is cls for x in values)
+            assert len(set(values)) == len(values), cls
+            for x in values:
+                assert owner.setdefault(x, cls) is cls, (x, owner[x])
+                assert hash_owner.setdefault(hash(x), cls) is cls, (x, hash_owner[hash(x)])
+
+    def test_the_one_block_partition_is_not_the_top_singleton(self, n):
+        s, p = Subset(n, (n,)), OrderedPartition(n, (n,))
+        assert s != p and p != s and hash(s) != hash(p)
+        assert len({s: 0, p: 1}) == 2
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_with_filled_caches(self, n, clone):
+        for values in carrier_values(n).values():
+            for x in values:
+                fill_caches(x)
+                y = clone(x)
+                assert type(y) is type(x) and y == x and hash(y) == hash(x) and str(y) == str(x)
+                assert vars(y) == vars(x) if hasattr(x, "__dict__") else not hasattr(y, "__dict__")
+
+    def test_refuses_attribute_assignment_and_deletion(self, n):
+        for values in carrier_values(n).values():
+            x = values[0]
+            fill_caches(x)
+            before, cached = tuple(x), dict(getattr(x, "__dict__", {}))
+            acts = [lambda f=f: setattr(x, f, None) for f in x._fields]
+            acts += [lambda f=f: delattr(x, f) for f in x._fields]
+            acts += [lambda: setattr(x, "other", 1)]
+            acts += [lambda k=k: delattr(x, k) for k in cached]
+            for act in acts:
+                with pytest.raises(AttributeError):
+                    act()
+            assert tuple(x) == before and getattr(x, "__dict__", {}) == cached
+
+    def test_hashes_are_the_dataclass_hashes_where_the_field_order_was_kept(self, n):
+        for cls, values in carrier_values(n).items():
+            for x in values:
+                if cls is OrderedPartition:
+                    # sizes first, so the partition hash changed, and with
+                    # it the hashes of block maps and right morphisms
+                    assert hash(x) == hash((x.block_sizes, x.n))
+                else:
+                    assert hash(x) == hash(tuple(getattr(x, f) for f in DATACLASS_FIELDS[cls]))
+                if cls in (OPMap, Subset, SubMap):
+                    assert hash(x) == hash(_bare(x))
+
+    def test_equals_the_bare_tuple_of_its_layout(self, n):
+        for values in carrier_values(n).values():
+            for x in values:
+                assert x == tuple(x) and tuple(x) == x and hash(x) == hash(tuple(x))
+        p = OrderedPartition(n, (1, n - 1))
+        assert p == ((1, n - 1), n) and p != (n, (1, n - 1))
+
+    def test_refuses_tuple_concatenation_and_repetition(self, n):
+        for values in carrier_values(n).values():
+            x = values[-1]
+            for act in (lambda: x + x, lambda: x + (1,), lambda: 2 * x, lambda: x * 2, lambda: True * x):
+                with pytest.raises(TypeError):
+                    act()
+            assert (1,) + x == (1,) + tuple(x)
+
+    def test_iteration_length_and_ordering_act_on_the_layout(self, n):
+        for cls, values in carrier_values(n).items():
+            for x in values:
+                assert list(x) == [getattr(x, f) for f in x._fields]
+                assert len(x) == (len(x.elements) if cls is Subset else len(x._fields))
+            assert sorted(values) == sorted(values, key=tuple)
+        # ordering is lexicographic on the layout, not inclusion or refinement
+        assert Subset(n, (1, n)) < Subset(n, (2,)) and not Subset(n, (2,)).issubset(Subset(n, (1, n)))
+        coarse, fine = OrderedPartition(n, (n,)), OrderedPartition.identity(n)
+        assert fine < coarse and fine.refines(coarse)
 
 
 class TestImageKernel:

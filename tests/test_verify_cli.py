@@ -193,6 +193,46 @@ class TestFaultInjection:
             assert check_normal_category_axioms(planted)[0]
             assert run_check("factorize-Pi", n).witness == witness
 
+    def test_factorize_pi_factorizes_each_morphism_once(self, fresh_builds, monkeypatch):
+        factorized = []
+
+        class Counting(PartitionCategory):
+            def normal_factorize(self, m):
+                factorized.append(m)
+                return super().normal_factorize(m)
+
+        monkeypatch.setattr(verify, "partition_category", lambda n, cat=Counting(4): cat)
+        report = run_check("factorize-Pi", 4)
+        assert report.status == "pass"
+        assert len(factorized) == len(set(factorized)) == report.counts["Pi_factorizations"] == 229
+
+    def test_an_axiom_failure_outranks_an_earlier_oracle_disagreement(self, fresh_builds, monkeypatch):
+        """Every factorization disagrees with a planted oracle, and only the
+        last morphism fails an axiom: the axiom failure is reported, as when
+        the oracles ran after the axiom pass."""
+        cat = PartitionCategory(3)
+        morphisms = [m for a in cat.objects() for b in cat.objects() for m in cat.hom(a, b)]
+        # the last morphism whose middle factor has another map to swap in
+        middles = [cat.normal_factorize(m)[1] for m in morphisms]
+        victim = [m for m, u in zip(morphisms, middles) if len(cat.hom(u.source, u.target)) > 1][-1]
+        assert victim != morphisms[0]
+
+        class Planted(PartitionCategory):
+            def normal_factorize(self, m):
+                q, u, v = super().normal_factorize(m)
+                if m == victim:
+                    u = next(x for x in self.hom(u.source, u.target) if x != u)
+                return q, u, v
+
+        monkeypatch.setattr(verify, "partition_category", lambda n, cat=Planted(3): cat)
+        monkeypatch.setattr(verify, "_gamma_oracle", lambda eta: None)
+        report = run_check("factorize-Pi", 3)
+        assert report.witness == {
+            "category": "Pi", "axiom": "factorization-isomorphism", "morphism": str(victim.eta),
+        }
+        monkeypatch.setattr(verify, "partition_category", lambda n, cat=PartitionCategory(3): cat)
+        assert run_check("factorize-Pi", 3).witness["reason"] == "image absorption disagrees with oracle"
+
     @pytest.mark.parametrize(
         "plant,reason",
         [
