@@ -24,11 +24,9 @@ from .cones import Cone, cone_mul, cone_semigroup, enumerate_normal_cones, mset,
 from .ideals import (
     LCategory,
     RCategory,
-    RMorphism,
     factorize_pi,
     l_morphism_from_triple,
     phi_representation,
-    r_compose,
     r_morphism_from_triple,
 )
 from .partitions import PartitionCategory

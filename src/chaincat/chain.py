@@ -2,10 +2,14 @@
 data attached to them: images, interval kernels, subsets, submaps and block
 maps.  Everything downstream works pointwise on the values stored here.
 
+Submaps and block maps carry the morphisms of the four categories; a block
+map p -> q is carried by a map back from the blocks of q to those of p.
+
 Values built from outside are validated on construction.  Values the library
 builds from valid ones (composites, images, kernels, factors, enumerated
-hom-sets) go through each class's ``_trusted`` (``OrderedPartition._shared``
-for partitions) and skip the check."""
+hom-sets) go through each map class's ``_trusted`` and skip the check;
+subsets and partitions built that way go through ``Subset._shared`` and
+``OrderedPartition._shared``, which keep one instance per value."""
 
 from __future__ import annotations
 
@@ -49,7 +53,8 @@ def check_chain_size(n: int) -> int:
 
 
 class _TupleValue:
-    """What the carrier values below share beyond tuple.
+    """What the five carrier classes below (``OPMap``, ``Subset``,
+    ``OrderedPartition``, ``SubMap`` and ``BlockMap``) share beyond tuple.
 
     Each value is a ``namedtuple`` subclass, so hashing and equality are
     tuple's, run in C.  It refuses attribute assignment and deletion;
@@ -163,7 +168,7 @@ class OPMap(_TupleValue, namedtuple("OPMap", "images")):
 
     @cached_property
     def _image(self) -> Subset:
-        return Subset._trusted(self.n, _runs(self.images)[1])
+        return Subset._shared(self.n, _runs(self.images)[1])
 
     @cached_property
     def _kernel(self) -> OrderedPartition:
@@ -196,10 +201,12 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
             prev = v
         return tuple.__new__(cls, (n, elements))
 
-    @classmethod
-    def _trusted(cls, n: int, elements: tuple[int, ...]) -> Subset:
-        """Build without validation, for elements valid by construction."""
-        return tuple.__new__(cls, (n, elements))
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _shared(n: int, elements: tuple[int, ...]) -> Subset:
+        """The one trusted instance for elements known to be valid, so its
+        positions are computed once per process."""
+        return tuple.__new__(Subset, (n, elements))
 
     @classmethod
     def of(cls, n: int, elements) -> Subset:
@@ -213,7 +220,7 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
         return len(self.elements) < self.n
 
     def issubset(self, other: Subset) -> bool:
-        return self.n == other.n and set(self.elements) <= set(other.elements)
+        return self.n == other.n and self._positions.keys() <= other._positions.keys()
 
     @cached_property
     def _positions(self) -> dict[int, int]:
@@ -393,11 +400,13 @@ class SubMap(_TupleValue, namedtuple("SubMap", "domain codomain values")):
 
 
 class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
-    """An order-preserving map between the block chains of two ordered
-    partitions of the same chain.  Block indices are 0-based; ``images[i]``
-    is the target block index of source block i.  The value is the 3-tuple
-    ``(source, target, images)`` and behaves as ``_TupleValue`` says; it
-    hashes as ``hash((source, target, images))``."""
+    """A morphism source -> target between two ordered partitions of one
+    chain: an order-preserving map back from the blocks of target to those
+    of source, so composition is contravariant on the images.  Block
+    indices are 0-based; ``images[i]`` is the block of source that block i
+    of target goes to.  The value is the 3-tuple ``(source, target,
+    images)`` and behaves as ``_TupleValue`` says; it hashes as
+    ``hash((source, target, images))``."""
 
     __slots__ = ()
 
@@ -405,12 +414,12 @@ class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
         _check_tuple(images)
         if source.n != target.n:
             raise ValueError("source and target partition different chains")
-        if len(images) != source.num_blocks:
-            raise ValueError(f"need {source.num_blocks} block images, got {len(images)}")
+        if len(images) != target.num_blocks:
+            raise ValueError(f"need {target.num_blocks} block images, got {len(images)}")
         prev = 0
         for j in images:
-            if type(j) is not int or not 0 <= j < target.num_blocks:
-                raise ValueError(f"block index {j!r} is not an int in range for {target}")
+            if type(j) is not int or not 0 <= j < source.num_blocks:
+                raise ValueError(f"block index {j!r} is not an int in range for {source}")
             if j < prev:
                 raise ValueError(f"block images {images} not monotone")
             prev = j
@@ -427,28 +436,29 @@ class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
 
     @classmethod
     def _at_minima(cls, source: OrderedPartition, target: OrderedPartition) -> BlockMap:
-        """Send each block of source to the block of target holding its
+        """Send each block of target to the block of source holding its
         least element.  For two partitions of one chain those images are
         monotone and in range, so the map is built without re-validation."""
-        return cls._trusted(source, target, tuple([target.block_of(block[0]) for block in source.blocks]))
+        return cls._trusted(source, target, tuple([source.block_of(block[0]) for block in target.blocks]))
 
     @classmethod
-    def containment(cls, finer: OrderedPartition, coarser: OrderedPartition) -> BlockMap:
-        """Send each block of the finer partition to the block containing it."""
+    def containment(cls, coarser: OrderedPartition, finer: OrderedPartition) -> BlockMap:
+        """The morphism coarser -> finer sending each block of the finer
+        partition to the block containing it."""
         if not finer.refines(coarser):
             raise ValueError(f"{finer} does not refine {coarser}")
-        return cls._at_minima(finer, coarser)
+        return cls._at_minima(coarser, finer)
 
     def then(self, other: BlockMap) -> BlockMap:
         if self.target != other.source:
             raise ValueError(f"cannot compose: target {self.target} != source {other.source}")
-        return BlockMap._trusted(self.source, other.target, tuple(other.images[j] for j in self.images))
+        return BlockMap._trusted(self.source, other.target, tuple([self.images[j] for j in other.images]))
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.images == tuple(range(self.source.num_blocks))
 
     def is_bijective(self) -> bool:
-        return len(set(self.images)) == len(self.images) == self.target.num_blocks
+        return len(set(self.images)) == len(self.images) == self.source.num_blocks
 
     def __str__(self) -> str:
         return "[" + ",".join(str(j + 1) for j in self.images) + "]"
@@ -531,7 +541,7 @@ def proper_subsets(n: int) -> tuple[Subset, ...]:
     out = []
     for size in range(1, n):
         for elems in combinations(range(1, n + 1), size):
-            out.append(Subset(n, elems))
+            out.append(Subset._shared(n, elems))
     return tuple(out)
 
 
@@ -637,14 +647,14 @@ def submaps_between(a: Subset, b: Subset) -> tuple[SubMap, ...]:
 
 
 def block_maps_between(p: OrderedPartition, q: OrderedPartition) -> tuple[BlockMap, ...]:
-    """All order-preserving block maps p -> q, lexicographically.  Each
+    """All block maps p -> q, lexicographically by image sequence.  Each
     image sequence is monotone and in range by construction, so only the
     chain is checked."""
     if p.n != q.n:
         raise ValueError(f"{p} and {q} partition different chains")
     return tuple(
         BlockMap._trusted(p, q, images)
-        for images in combinations_with_replacement(range(q.num_blocks), p.num_blocks)
+        for images in combinations_with_replacement(range(p.num_blocks), q.num_blocks)
     )
 
 
@@ -663,31 +673,32 @@ def factorize_submap(f: SubMap) -> tuple[SubMap, SubMap, SubMap]:
     lengths, values = _runs(f.values)
     elements = f.domain.elements
     firsts = tuple(elements[i] for i in accumulate(lengths[:-1], initial=0))
-    cross = Subset._trusted(f.domain.n, firsts)
-    img = Subset._trusted(f.domain.n, values)
+    cross = Subset._shared(f.domain.n, firsts)
+    img = Subset._shared(f.domain.n, values)
     q = SubMap._trusted(f.domain, cross, tuple(x for x, k in zip(firsts, lengths) for _ in range(k)))
     u = SubMap._trusted(cross, img, values)
     j = SubMap._trusted(img, f.codomain, values)
     return q, u, j
 
 
-def factorize_block_map(eta: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
-    """Split eta: p2 -> p1 as (zeta, u, v) with eta = v then u then zeta.
+def factorize_block_map(m: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
+    """Split m: p1 -> p2 as retraction, bijection, inclusion (q, u, j),
+    with m = q then u then j.
 
     Mirrors factorize_submap on the block level, and reads everything off
-    the runs of eta.images.  The fiber coarsening sigma of p2 merges the
-    blocks of each run, so it is cut where each run but the last ends.  The
-    image absorption gamma of p1 lets each hit block absorb the unhit blocks
-    since the previous hit one, and the last hit block the tail, so it is
-    cut after each hit block but the last.  v sends each block of p2 to its
-    run, u is the bijection sigma -> gamma, and zeta picks out the hit
-    blocks; all three maps are valid by construction.
+    the runs of m.images.  The image absorption gamma of p1 lets each hit
+    block absorb the unhit blocks since the previous hit one, and the last
+    hit block the tail, so it is cut after each hit block but the last.  The
+    fiber coarsening sigma of p2 merges the blocks of each run, so it is cut
+    where each run but the last ends.  q picks out the hit blocks, u is the
+    bijection gamma -> sigma, and j sends each block of p2 to its run; all
+    three maps are valid by construction.
     """
-    lengths, hit = _runs(eta.images)
-    p2, p1 = eta.source, eta.target
-    sigma = _cut_after(p2.n, tuple([p2._ends[k - 1] for k in accumulate(lengths[:-1])]))
+    lengths, hit = _runs(m.images)
+    p1, p2 = m.source, m.target
     gamma = _cut_after(p1.n, tuple([p1._ends[j] for j in hit[:-1]]))
-    zeta = BlockMap._trusted(gamma, p1, hit)
-    u = BlockMap._trusted(sigma, gamma, tuple(range(len(hit))))
-    v = BlockMap._trusted(p2, sigma, tuple([r for r, k in enumerate(lengths) for _ in range(k)]))
-    return zeta, u, v
+    sigma = _cut_after(p2.n, tuple([p2._ends[k - 1] for k in accumulate(lengths[:-1])]))
+    q = BlockMap._trusted(p1, gamma, hit)
+    u = BlockMap._trusted(gamma, sigma, tuple(range(len(hit))))
+    j = BlockMap._trusted(sigma, p2, tuple([r for r, k in enumerate(lengths) for _ in range(k)]))
+    return q, u, j

@@ -51,8 +51,12 @@ class FiniteCategory(ABC):
         return k
 
     def hom(self, a, b) -> tuple:
+        """The morphisms a -> b; ValueError unless both are objects, checked
+        only on a cache miss."""
         key = (a, b)
         if key not in self._hom_cache:
+            self.position(a)
+            self.position(b)
             self._hom_cache[key] = tuple(self._compute_hom(a, b))
         return self._hom_cache[key]
 
@@ -64,9 +68,11 @@ class FiniteCategory(ABC):
     def cone_table(self, vertex) -> "ConeTable":
         """The coding of the cones with the given vertex (see ``ConeTable``),
         built on first use; the maximal objects and their inclusions are
-        found once and shared by every vertex."""
+        found once and shared by every vertex.  ValueError for a vertex
+        that is not an object."""
         table = self._cone_tables.get(vertex)
         if table is None:
+            self.position(vertex)
             if self._cone_frame is None:
                 self._cone_frame = self._maximal_frame()
             members, starts = [], [0]

@@ -1,15 +1,16 @@
 """The category of non-identity ordered partitions of the chain.
 
-A morphism is a block map running the other way, read as precomposition
-on the monotone maps from a partition's block chain into the chain.  It is
-the right-ideal category with every hom-set enumerated instead of computed
-from sandwich sets; the G-iso check compares the two sources.
+A morphism p -> q is a ``BlockMap``: an order-preserving map from the
+blocks of q back to the blocks of p, read as precomposition on the monotone
+maps from a partition's block chain into the chain.  It is the right-ideal
+category with every hom-set enumerated instead of computed from sandwich
+sets; the G-iso check compares the two sources.
 """
 
 from __future__ import annotations
 
-from .chain import OrderedPartition, block_maps_between
-from .ideals import RCategory, RMorphism
+from .chain import BlockMap, OrderedPartition, block_maps_between
+from .ideals import RCategory
 from .ideals import factorize_pi  # noqa: F401  re-exported: the normal factorization here
 
 
@@ -22,7 +23,7 @@ class PartitionCategory(RCategory):
     """
 
     def _compute_hom(self, p: OrderedPartition, q: OrderedPartition):
-        return [RMorphism(eta) for eta in block_maps_between(q, p)]
+        return block_maps_between(p, q)
 
-    def morphism_label(self, m: RMorphism) -> str:
-        return str(m.eta)
+    def morphism_label(self, m: BlockMap) -> str:
+        return str(m)

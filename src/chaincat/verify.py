@@ -23,7 +23,7 @@ from .cones import (
     cone_semigroup,
     enumerate_normal_cones,
 )
-from .ideals import LCategory, RCategory, RMorphism, phi_representation
+from .ideals import LCategory, RCategory, phi_representation
 from .partitions import PartitionCategory
 from .powerset import PowersetCategory, cone_to_opmap
 from .semigroups import (
@@ -188,12 +188,12 @@ def check_factorize_po(n: int):
     return _axioms_for("Po", powerset_category(n))
 
 
-def _sigma_oracle(eta: BlockMap) -> OrderedPartition:
-    """Recompute the fiber coarsening element by element."""
-    n = eta.source.n
+def _sigma_oracle(m: BlockMap) -> OrderedPartition:
+    """Recompute the fiber coarsening of m's target element by element."""
+    n = m.target.n
 
     def cls(x: int) -> int:
-        return eta.images[eta.source.block_of(x)]
+        return m.images[m.target.block_of(x)]
 
     sizes, run = [], 1
     for x in range(2, n + 1):
@@ -206,33 +206,33 @@ def _sigma_oracle(eta: BlockMap) -> OrderedPartition:
     return OrderedPartition(n, tuple(sizes))
 
 
-def _gamma_oracle(eta: BlockMap) -> OrderedPartition:
-    """Recompute the image absorption from cut positions: a cut survives
-    exactly after each hit target block except the last."""
+def _gamma_oracle(m: BlockMap) -> OrderedPartition:
+    """Recompute the image absorption of m's source from cut positions: a
+    cut survives exactly after each hit source block except the last."""
     ends, pos = [], 0
-    for size in eta.target.block_sizes:
+    for size in m.source.block_sizes:
         pos += size
         ends.append(pos)
-    hit = sorted(set(eta.images))
-    boundaries = sorted(ends[i] for i in hit[:-1]) + [eta.target.n]
+    hit = sorted(set(m.images))
+    boundaries = sorted(ends[i] for i in hit[:-1]) + [m.source.n]
     sizes, prev = [], 0
     for b in boundaries:
         sizes.append(b - prev)
         prev = b
-    return OrderedPartition(eta.target.n, tuple(sizes))
+    return OrderedPartition(m.source.n, tuple(sizes))
 
 
-def _check_pi_factorization(cat: PartitionCategory, m: RMorphism, q: RMorphism, v: RMorphism) -> dict | None:
-    """Compare the middle objects of m's normal factorization (q, u, v)
+def _check_pi_factorization(cat: PartitionCategory, m: BlockMap, q: BlockMap, j: BlockMap) -> dict | None:
+    """Compare the middle objects of m's normal factorization (q, u, j)
     with the two independent oracles; the axiom pass that made it has
     already checked that it recomposes and has the right kinds of factors."""
 
     def fail(reason: str) -> dict:
         return {"reason": reason, "morphism": cat.morphism_label(m)}
 
-    if v.source != _sigma_oracle(m.eta):
+    if j.source != _sigma_oracle(m):
         return fail("fiber coarsening disagrees with oracle")
-    if q.target != _gamma_oracle(m.eta):
+    if q.target != _gamma_oracle(m):
         return fail("image absorption disagrees with oracle")
     return None
 
@@ -245,10 +245,10 @@ def check_factorize_pi(n: int):
     cat = partition_category(n)
     disagreement = None
 
-    def compare(m, q, _, v):
+    def compare(m, q, _, j):
         nonlocal disagreement
         if disagreement is None:
-            disagreement = _check_pi_factorization(cat, m, q, v)
+            disagreement = _check_pi_factorization(cat, m, q, j)
 
     ok, counts, witness = _axioms_for("Pi", cat, compare)
     if not ok:
@@ -281,10 +281,16 @@ def check_cones_principal(n: int):
     return True, counts, None
 
 
-def _cone_iso_counts(ox: FiniteSemigroup, cones: FiniteSemigroup, principal_cone) -> tuple[dict, bool]:
+def _cone_iso_counts(ox: FiniteSemigroup, cones: FiniteSemigroup) -> tuple[dict, bool]:
     """Check a -> principal_cone(a) explicitly and search for an isomorphism
-    of ox with the cone semigroup: the counts, and whether both succeeded."""
-    phi = ElementMap(ox, cones, tuple(cones.index[principal_cone(a)] for a in ox.elements))
+    of ox with the cone semigroup: the counts, and whether both succeeded.
+
+    The cone semigroup is built from principal_cone(a) over the singular
+    maps a in ``enumerate_oxn`` order, the order of ox, and ``build``
+    rejects a repeated element, so a non-injective principal_cone never
+    gets here and the i-th cone is principal_cone(ox.elements[i]): the
+    explicit map is the identity on indices."""
+    phi = ElementMap(ox, cones, tuple(range(ox.order)))
     hom_ok, bij_ok = is_homomorphism(phi), phi.is_bijective()
     found = find_isomorphism(ox, cones)
     counts = {
@@ -297,23 +303,22 @@ def _cone_iso_counts(ox: FiniteSemigroup, cones: FiniteSemigroup, principal_cone
 
 
 def check_tl_iso(n: int):
-    counts, ok = _cone_iso_counts(oxn_semigroup(n), tl_semigroup(n), left_category(n).principal_cone)
+    counts, ok = _cone_iso_counts(oxn_semigroup(n), tl_semigroup(n))
     if not ok:
         return False, counts, {"reason": "explicit or searched isomorphism with the cone semigroup failed"}
     return True, counts, None
 
 
 def check_tpo_iso(n: int):
-    ox = oxn_semigroup(n)
-    cat = powerset_category(n)
-    counts, ok = _cone_iso_counts(ox, tpo_semigroup(n), cat.principal_cone)
-    unread = next((a for a in ox.elements if cone_to_opmap(cat.principal_cone(a)) != a), None)
+    ox, cones = oxn_semigroup(n), tpo_semigroup(n)
+    counts, ok = _cone_iso_counts(ox, cones)
+    unread = next(((a, c) for a, c in zip(ox.elements, cones.elements) if cone_to_opmap(c) != a), None)
     counts["roundtrip"] = int(unread is None)
     if unread is not None:
         return False, counts, {
             "reason": "a principal cone does not read back as its map",
-            "map": str(unread),
-            "cone": cone_json(cat.principal_cone(unread)),
+            "map": str(unread[0]),
+            "cone": cone_json(unread[1]),
         }
     if not ok:
         return False, counts, {"reason": "cone semigroup over the subset category is not an isomorphic copy"}

@@ -31,7 +31,6 @@ from chaincat.chain import (
     separator_idempotent,
     submaps_between,
 )
-from chaincat.ideals import RMorphism
 
 
 @st.composite
@@ -168,18 +167,16 @@ class TestOPMapValue:
 
 
 def carrier_values(n: int) -> dict[type, list]:
-    """Every value of the six carrier classes on the chain 1..n, identities,
+    """Every value of the five carrier classes on the chain 1..n, identities,
     the full subset and the all-singleton partition included."""
     subsets = list(proper_subsets(n)) + [Subset.full(n)]
     partitions = list(ordered_partitions(n)) + [OrderedPartition.identity(n)]
-    block_maps = [eta for p in partitions for q in partitions for eta in block_maps_between(p, q)]
     return {
         OPMap: list(enumerate_oxn(n)) + [OPMap.identity(n)],
         Subset: subsets,
         OrderedPartition: partitions,
         SubMap: [f for a in subsets for b in subsets for f in submaps_between(a, b)],
-        BlockMap: block_maps,
-        RMorphism: [RMorphism(eta) for eta in block_maps],
+        BlockMap: [m for p in partitions for q in partitions for m in block_maps_between(p, q)],
     }
 
 
@@ -202,7 +199,6 @@ DATACLASS_FIELDS = {
     OrderedPartition: ("n", "block_sizes"),
     SubMap: ("domain", "codomain", "values"),
     BlockMap: ("source", "target", "images"),
-    RMorphism: ("eta",),
 }
 
 
@@ -216,7 +212,7 @@ def _bare(x):
 
 @pytest.mark.parametrize("n", [3, 4])
 class TestCarrierValues:
-    """The six carrier classes are namedtuple subclasses: equality and
+    """The five carrier classes are namedtuple subclasses: equality and
     hashing are tuple's, values of different classes never meet, and the
     tuple operations the dataclasses lacked either raise or are pinned."""
 
@@ -266,7 +262,7 @@ class TestCarrierValues:
             for x in values:
                 if cls is OrderedPartition:
                     # sizes first, so the partition hash changed, and with
-                    # it the hashes of block maps and right morphisms
+                    # it the hashes of block maps
                     assert hash(x) == hash((x.block_sizes, x.n))
                 else:
                     assert hash(x) == hash(tuple(getattr(x, f) for f in DATACLASS_FIELDS[cls]))
@@ -573,6 +569,13 @@ class TestSubsetPartition:
         assert [p.block_of(x) for x in (1, 2, 3, 4)] == [0, 1, 1, 2]
         assert str(p) == "(1,2,1)"
 
+    def test_issubset_is_set_inclusion(self):
+        subsets = list(proper_subsets(4)) + [Subset.full(4)]
+        for a in subsets:
+            for b in subsets:
+                assert a.issubset(b) == (set(a.elements) <= set(b.elements))
+        assert not Subset(3, (1, 2)).issubset(Subset(4, (1, 2, 3)))
+
     def test_refinement(self):
         assert OrderedPartition(4, (1, 1, 2)).refines(OrderedPartition(4, (2, 2)))
         assert not OrderedPartition(4, (2, 2)).refines(OrderedPartition(4, (1, 1, 2)))
@@ -589,10 +592,10 @@ class TestSubMap:
             with pytest.raises(ValueError):
                 SubMap(subset(3, 1, 2), subset(3, 1, 3), values)
         p, q = OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2))
-        assert BlockMap(p, q, (0, 1)).images == (0, 1)
+        assert BlockMap(q, p, (0, 1)).images == (0, 1)
         for images in ((0, 1.0), (0.0, 1), (False, True), [0, 1]):
             with pytest.raises(ValueError):
-                BlockMap(p, q, images)
+                BlockMap(q, p, images)
 
     def test_compose_and_identity(self):
         f = SubMap(subset(3, 1, 2), subset(3, 1, 3), (1, 3))
@@ -641,25 +644,24 @@ class TestFactorizations:
 
     def test_block_map_example(self):
         p1, p2 = OrderedPartition(4, (1, 1, 2)), OrderedPartition(4, (2, 2))
-        eta = BlockMap(p2, p1, (0, 2))
-        zeta, u, v = factorize_block_map(eta)
-        assert zeta.source.block_sizes == (1, 3)
-        assert v.target.block_sizes == (2, 2)
-        assert zeta.images == (0, 2) and u.images == (0, 1)
-        assert v.then(u).then(zeta) == eta
+        m = BlockMap(p1, p2, (0, 2))
+        q, u, j = factorize_block_map(m)
+        assert q.target.block_sizes == (1, 3)
+        assert j.source.block_sizes == (2, 2)
+        assert q.images == (0, 2) and u.images == (0, 1)
+        assert q.then(u).then(j) == m
 
     def test_block_map_constant(self):
         p1, p2 = OrderedPartition(4, (1, 1, 2)), OrderedPartition(4, (2, 2))
-        eta = BlockMap(p2, p1, (0, 0))
-        zeta, u, v = factorize_block_map(eta)
-        assert zeta.source.block_sizes == (4,)
-        assert v.target.block_sizes == (4,)
+        m = BlockMap(p1, p2, (0, 0))
+        q, u, j = factorize_block_map(m)
+        assert q.target.block_sizes == (4,)
+        assert j.source.block_sizes == (4,)
 
     def test_block_map_identity(self):
         p = OrderedPartition(4, (2, 2))
-        eta = BlockMap.identity(p)
-        zeta, u, v = factorize_block_map(eta)
-        assert zeta.is_identity() and v.is_identity() and u.is_identity()
+        q, u, j = factorize_block_map(BlockMap.identity(p))
+        assert q.is_identity() and j.is_identity() and u.is_identity()
 
     @given(monotone_submaps())
     def test_submap_factorization_properties(self, f):

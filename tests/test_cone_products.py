@@ -20,7 +20,6 @@ from chaincat.chain import (
 from chaincat.ideals import (
     LCategory,
     RCategory,
-    RMorphism,
     l_morphism_from_triple,
     r_morphism_from_triple,
 )
@@ -159,15 +158,14 @@ def test_phi_faithful_fails_on_a_wrong_middle_factor(fresh_builds, monkeypatch):
     assert victim == cat.identity(cone.vertex)
 
     def damage(factors):
-        q, u, v = factors
-        eta = u.eta
-        return q, RMorphism(BlockMap(eta.source, eta.target, (0,) * eta.source.num_blocks)), v
+        q, u, j = factors
+        return q, BlockMap(u.source, u.target, (0,) * u.target.num_blocks), j
 
     hits = _plant(monkeypatch, RCategory, "normal_factorize", (victim,), damage)
     report = _assert_fails("phi-faithful", 3, hits)
     # the square of the cone escapes as one sending both vertex blocks to
     # the first block everywhere
-    escaped = Cone(cat, cone.vertex, {a: RMorphism(BlockMap(cone.vertex, a, (0, 0))) for a in cat.objects()})
+    escaped = Cone(cat, cone.vertex, {a: BlockMap(a, cone.vertex, (0, 0)) for a in cat.objects()})
     assert report.witness["left"] == report.witness["right"] == cone_json(cone)
     assert report.witness["product"] == cone_json(escaped)
 

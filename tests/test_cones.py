@@ -1,6 +1,6 @@
 import pytest
 
-from chaincat.chain import OPMap, Subset, enumerate_oxn, image
+from chaincat.chain import OPMap, OrderedPartition, Subset, enumerate_oxn, image
 from chaincat.cones import (
     Cone,
     cone_json,
@@ -11,6 +11,8 @@ from chaincat.cones import (
     validate_cone,
 )
 from chaincat.ideals import LCategory, RCategory
+from chaincat.partitions import PartitionCategory
+from chaincat.powerset import PowersetCategory
 from chaincat.powerset import cone_to_opmap
 from chaincat.semigroups import ClosureError, is_regular
 from chaincat.verify import left_category, powerset_category
@@ -103,6 +105,29 @@ class TestImmutability:
             Cone(lcat3, Subset.full(3), {})
         with pytest.raises(ValueError):
             Cone(lcat3, cone.vertex, {RCategory(3).objects()[0]: cone.component(cone.vertex)})
+
+
+@pytest.mark.parametrize("category", [LCategory, PowersetCategory, RCategory, PartitionCategory])
+def test_hom_and_cone_table_reject_non_objects(category):
+    """The full chain, the all-singleton partition and an object of the
+    other side are no objects of any of the four categories."""
+    cat = category(3)
+    obj = cat.objects()[0]
+    for non in (Subset.full(3), OrderedPartition.identity(3), Subset(3, (1,)), OrderedPartition(3, (2, 1))):
+        if non in cat.objects():
+            continue
+        for act in (
+            lambda: cat.hom(non, obj),
+            lambda: cat.hom(obj, non),
+            lambda: cat.hom(non, non),
+            lambda: cat.cone_table(non),
+            lambda: enumerate_normal_cones(cat, non),
+        ):
+            with pytest.raises(ValueError, match="is not an object"):
+                act()
+    assert all(a in cat.objects() and b in cat.objects() for a, b in cat._hom_cache)
+    assert set(cat._cone_tables) <= set(cat.objects())
+    assert cat.hom(obj, obj) and enumerate_normal_cones(cat, obj)
 
 
 class TestMSet:

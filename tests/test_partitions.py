@@ -15,7 +15,6 @@ from chaincat.cones import (
     mset,
     validate_cone,
 )
-from chaincat.ideals import RMorphism
 from chaincat.partitions import factorize_pi
 from chaincat.semigroups import find_isomorphism, is_regular, opposite
 from chaincat.verify import oxn_semigroup, partition_category, right_category
@@ -26,18 +25,28 @@ def pobj(n, *sizes):
 
 
 def morphism(p, q, *images):
-    return RMorphism(BlockMap(q, p, images))
+    return BlockMap(p, q, images)
 
 
 class TestPiCompose:
+    @pytest.mark.parametrize("build", [right_category, partition_category])
+    def test_hom_sets_hold_block_maps(self, build):
+        cat = build(4)
+        objs = cat.objects()
+        for a in objs:
+            for b in objs:
+                for m in cat.hom(a, b):
+                    assert type(m) is BlockMap
+                    assert (m.source, m.target) == (a, b) and len(m.images) == b.num_blocks
+
     def test_block_maps_compose_reversed(self):
         p1, p2, p3 = pobj(4, 1, 1, 2), pobj(4, 2, 2), pobj(4, 4)
         m1 = morphism(p1, p2, 0, 2)
         m2 = morphism(p2, p3, 1)
         out = partition_category(4).compose(m1, m2)
         assert out.source == p1 and out.target == p3
-        assert out.eta == m2.eta.then(m1.eta)
-        assert out.eta.images == (2,)
+        assert out.images == tuple(m1.images[j] for j in m2.images)
+        assert out.images == (2,)
 
     def test_identity_neutral(self):
         cat = partition_category(3)
@@ -51,7 +60,7 @@ class TestPiCompose:
         p1, p2, p3 = pobj(4, 1, 1, 2), pobj(4, 2, 2), pobj(4, 4)
         m1 = morphism(p1, p2, 0, 0)
         m2 = morphism(p2, p3, 0)
-        assert partition_category(4).compose(m1, m2).eta.images == (0,)
+        assert partition_category(4).compose(m1, m2).images == (0,)
 
     def test_mismatch_rejected(self):
         p1, p2 = pobj(4, 1, 1, 2), pobj(4, 2, 2)
@@ -72,22 +81,22 @@ class TestPiOrder:
         cat = partition_category(4)
         p, q = pobj(4, 4), pobj(4, 2, 2)
         incl, retr = cat.inclusion(p, q), cat.retraction(p, q)
-        assert incl.eta.images == (0, 0)
-        assert retr.eta.images == (0,)
-        assert cat.compose(incl, retr) == RMorphism(BlockMap.identity(p))
+        assert incl.images == (0, 0)
+        assert retr.images == (0,)
+        assert cat.compose(incl, retr) == BlockMap.identity(p)
 
     def test_min_block_rule(self):
         cat = partition_category(4)
         p, q = pobj(4, 2, 2), pobj(4, 1, 1, 2)
         incl, retr = cat.inclusion(p, q), cat.retraction(p, q)
-        assert incl.eta.images == (0, 0, 1)
-        assert retr.eta.images == (0, 2)
+        assert incl.images == (0, 0, 1)
+        assert retr.images == (0, 2)
 
     def test_equal_objects_give_identities(self):
         cat = partition_category(4)
         p = pobj(4, 2, 2)
         incl, retr = cat.inclusion(p, p), cat.retraction(p, p)
-        assert incl.eta.is_identity() and retr.eta.is_identity()
+        assert incl.is_identity() and retr.is_identity()
 
     def test_not_below_rejected(self):
         with pytest.raises(ValueError):
@@ -101,8 +110,8 @@ class TestFactorizePi:
         q, u, v = factorize_pi(m)
         assert q.target.block_sizes == (1, 3)
         assert v.source.block_sizes == (2, 2)
-        assert q.eta.images == (0, 2)
-        assert u.eta.is_bijective()
+        assert q.images == (0, 2)
+        assert u.is_bijective()
         cat = partition_category(4)
         assert cat.compose(cat.compose(q, u), v) == m
 
@@ -115,9 +124,9 @@ class TestFactorizePi:
 
     def test_identity_factors_trivially(self):
         p = pobj(4, 2, 2)
-        m = RMorphism(BlockMap.identity(p))
+        m = BlockMap.identity(p)
         q, u, v = factorize_pi(m)
-        assert q.eta.is_identity() and v.eta.is_identity() and u.eta.is_identity()
+        assert q.is_identity() and v.is_identity() and u.is_identity()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_all_morphisms(self, n):
@@ -127,7 +136,7 @@ class TestFactorizePi:
                 for m in cat.hom(a, b):
                     q, u, v = factorize_pi(m)
                     assert cat.compose(cat.compose(q, u), v) == m
-                    assert u.eta.is_bijective()
+                    assert u.is_bijective()
                     assert v == cat.inclusion(v.source, v.target)
                     assert cat.compose(cat.inclusion(q.target, a), q) == cat.identity(q.target)
                     # coarsenings are valid interval partitions by construction
@@ -144,16 +153,16 @@ class TestIdempotentPiCone:
         vertex = pobj(3, 2, 1)
         c = cat.dual_principal_cone(OPMap((1, 1, 3)))
         assert c.vertex == vertex
-        assert c.components[pobj(3, 3)].eta.images == (0, 0)
-        assert c.components[vertex].eta.is_identity()
-        assert c.components[pobj(3, 1, 2)].eta.images == (0, 1)
+        assert c.components[pobj(3, 3)].images == (0, 0)
+        assert c.components[vertex].is_identity()
+        assert c.components[pobj(3, 1, 2)].images == (0, 1)
         assert validate_cone(c) and mset(c)
 
     def test_constant_vertex(self):
         cat = partition_category(3)
         c = cat.dual_principal_cone(OPMap((2, 2, 2)))
         assert c.vertex == pobj(3, 3)
-        assert all(len(set(m.eta.images)) == 1 for m in c.components.values())
+        assert all(len(set(m.images)) == 1 for m in c.components.values())
 
     def test_squares_to_itself(self):
         cat = partition_category(3)
@@ -168,7 +177,7 @@ class TestIdempotentPiCone:
                 c = cat.dual_principal_cone(u)
                 assert c.vertex == kernel(u)
                 assert validate_cone(c) and mset(c)
-                assert c.components[c.vertex].eta.is_identity()
+                assert c.components[c.vertex].is_identity()
                 assert cone_mul(c, c) == c
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -270,7 +279,7 @@ class TestFullRightConeSemigroups:
                 images = (1,)
             else:
                 images = (0,)
-            components[obj] = RMorphism(BlockMap(vertex, obj, images))
+            components[obj] = BlockMap(obj, vertex, images)
         cone = Cone(rcat, vertex, components)
         assert validate_cone(cone) and mset(cone)
         assert all(cone != rcat.dual_principal_cone(a) for a in enumerate_oxn(3))

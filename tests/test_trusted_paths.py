@@ -29,6 +29,7 @@ from chaincat.chain import (
     image,
     kernel,
     ordered_partitions,
+    proper_subsets,
     separator_idempotent,
     submaps_between,
 )
@@ -67,9 +68,7 @@ def _rebuilt(value):
         return Subset(value.n, value.elements)
     if isinstance(value, SubMap):
         return SubMap(_rebuilt(value.domain), _rebuilt(value.codomain), value.values)
-    if isinstance(value, BlockMap):
-        return BlockMap(value.source, value.target, value.images)
-    return type(value)(_rebuilt(value.eta))
+    return BlockMap(value.source, value.target, value.images)
 
 
 @pytest.mark.parametrize("build", [left_category, right_category, powerset_category, partition_category])
@@ -101,7 +100,7 @@ def test_containments_and_canonical_forms_equal_validated_ones(build):
     built += [m for cone in cones for m in cone.components.values()]
     for m in built:
         checked = _rebuilt(m)
-        assert type(m.eta) is BlockMap
+        assert type(m) is BlockMap
         assert m == checked and hash(m) == hash(checked)
     assert len(built) == 12 + 4 * 229 + (34 + 7) * 7
 
@@ -137,7 +136,7 @@ def test_enumerated_maps_and_submap_factors_equal_validated_ones():
     factors = [factorize_submap(f) for f in submaps]
     built = submaps + [factor for triple in factors for factor in triple]
     built += [subset for _, u, _ in factors for subset in (u.domain, u.codomain)]
-    built += [eta for p in partitions for q in partitions for eta in block_maps_between(p, q)]
+    built += [m for p in partitions for q in partitions for m in block_maps_between(p, q)]
     for m in built:
         checked = _rebuilt(m)
         assert type(m) is type(checked)
@@ -178,8 +177,9 @@ A, B = Subset(4, (1, 2)), Subset(4, (1, 3))
     [
         (lambda: OPMap((1, 1, 2, 3)), lambda: OPMap._trusted((1, 1, 2, 3))),
         (lambda: SubMap(A, B, (1, 3)), lambda: SubMap._trusted(A, B, (1, 3))),
-        (lambda: BlockMap(P, Q, (0, 1)), lambda: BlockMap._trusted(P, Q, (0, 1))),
-        (lambda: Subset(4, (1, 3)), lambda: Subset._trusted(4, (1, 3))),
+        (lambda: BlockMap(Q, P, (0, 1)), lambda: BlockMap._trusted(Q, P, (0, 1))),
+        # a fresh instance each time, past the cache that shares them
+        (lambda: Subset(4, (1, 3)), lambda: Subset._shared.__wrapped__(4, (1, 3))),
     ],
     ids=["opmap", "submap", "blockmap", "subset"],
 )
@@ -198,8 +198,8 @@ def test_trusted_map_is_no_larger_than_a_validated_one(validated, trusted):
         lambda: OPMap._make([(1, 2, 4)]),
         lambda: SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (3, 1)),
         lambda: SubMap(Subset(3, (1, 2)), Subset(3, (1, 3)), (1, 2)),
-        lambda: BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (1, 1, 1)), (2, 1)),
-        lambda: BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (2, 1)), (0, 2)),
+        lambda: BlockMap(OrderedPartition(3, (1, 1, 1)), OrderedPartition(3, (1, 2)), (2, 1)),
+        lambda: BlockMap(OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2)), (0, 2)),
         lambda: submaps_between(Subset(3, (1, 2)), Subset(4, (1, 2))),
         lambda: block_maps_between(OrderedPartition(3, (1, 2)), OrderedPartition(4, (1, 3))),
         lambda: separator_idempotent(True, 3),
@@ -234,20 +234,21 @@ def test_cached_kernel_and_image_match_a_fresh_computation():
             assert hash(image(f)) == hash(fresh_image) and hash(kernel(f)) == hash(fresh_kernel)
             assert image(f) is image(f) and kernel(f) is kernel(f)
             assert kernel(f) is OrderedPartition._shared(n, fresh_kernel.block_sizes)
+            assert image(f) is Subset._shared(n, fresh_image.elements)
 
 
 def test_block_factorization_partitions_are_shared_and_match_the_oracles():
     for n in range(3, 6):
         cat = partition_category(n)
         objs = cat.objects()
-        for eta in [m.eta for a in objs for b in objs for m in cat.hom(a, b)]:
-            zeta, u, v = factorize_block_map(eta)
-            assert v.target is u.source and u.target is zeta.source
-            for p, oracle in ((u.source, _sigma_oracle), (u.target, _gamma_oracle)):
+        for m in [f for a in objs for b in objs for f in cat.hom(a, b)]:
+            q, u, j = factorize_block_map(m)
+            assert q.target is u.source and u.target is j.source
+            for p, oracle in ((u.source, _gamma_oracle), (u.target, _sigma_oracle)):
                 checked = OrderedPartition(p.n, p.block_sizes)
                 assert p == checked and hash(p) == hash(checked) and p.blocks == checked.blocks
                 assert p is OrderedPartition._shared(p.n, p.block_sizes)
-                assert p == oracle(eta)
+                assert p == oracle(m)
 
 
 def test_ordered_partitions_are_shared_validated_instances():
@@ -255,6 +256,24 @@ def test_ordered_partitions_are_shared_validated_instances():
         for p in ordered_partitions(n):
             assert p == OrderedPartition(n, p.block_sizes)
             assert p is OrderedPartition._shared(n, p.block_sizes)
+
+
+def test_proper_subsets_are_shared_validated_instances():
+    for n in range(3, 8):
+        for a in proper_subsets(n):
+            assert a == Subset(n, a.elements)
+            assert a is Subset._shared(n, a.elements)
+
+
+def test_submap_factorization_subsets_are_shared():
+    for n in range(3, 6):
+        subsets = powerset_category(n).objects()
+        for f in [f for a in subsets for b in subsets for f in submaps_between(a, b)]:
+            q, u, j = factorize_submap(f)
+            assert q.codomain is u.domain and u.codomain is j.domain
+            for a in (u.domain, u.codomain):
+                assert a == Subset(a.n, a.elements)
+                assert a is Subset._shared(a.n, a.elements)
 
 
 @pytest.mark.parametrize("oracle", [_sigma_oracle, _gamma_oracle])

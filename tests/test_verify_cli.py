@@ -14,7 +14,7 @@ from chaincat import chain, verify
 from chaincat.chain import BlockMap, OPMap, OrderedPartition, SubMap, Subset
 from chaincat.cli import main
 from chaincat.cones import Cone, check_normal_category_axioms, cone_json
-from chaincat.ideals import LCategory, RCategory, RMorphism
+from chaincat.ideals import LCategory, RCategory
 from chaincat.partitions import PartitionCategory
 from chaincat.powerset import PowersetCategory
 from chaincat.verify import (
@@ -135,7 +135,7 @@ class TestFaultInjection:
             ),
             (
                 "factorize-L", "right_category", RCategory,
-                RMorphism(BlockMap(OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2)), (0, 1))),
+                BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (2, 1)), (0, 1)),
                 "lambda((1,2) -> (2,1): [1,2])",
             ),
             (
@@ -144,7 +144,7 @@ class TestFaultInjection:
             ),
             (
                 "factorize-Pi", "partition_category", PartitionCategory,
-                RMorphism(BlockMap(OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2)), (0, 1))), "[1,2]",
+                BlockMap(OrderedPartition(3, (1, 2)), OrderedPartition(3, (2, 1)), (0, 1)), "[1,2]",
             ),
         ],
         ids=["L", "R", "Po", "Pi"],
@@ -169,22 +169,22 @@ class TestFaultInjection:
         }
 
     def test_wrong_image_absorption_fails_only_the_oracle(self, fresh_builds, monkeypatch):
-        """A factorization through the other absorption, each unhit target
+        """A factorization through the other absorption, each unhit source
         block joining the hit block before it (leading ones the first),
         still recomposes with the right kinds of factors; only the oracle
-        comparison catches it, and only from n=4, where a target first has
+        comparison catches it, and only from n=4, where a source first has
         an unhit block between two hit ones."""
 
         class Planted(PartitionCategory):
             def normal_factorize(self, m):
-                _, u, v = super().normal_factorize(m)
-                target = m.eta.target
-                hit = sorted(set(m.eta.images))
-                ends = hit[1:] + [target.num_blocks]
-                sizes = tuple(sum(target.block_sizes[i:j]) for i, j in zip([0] + hit[1:], ends))
-                gamma = OrderedPartition(target.n, sizes)
-                q = RMorphism(BlockMap(gamma, target, tuple(hit)))
-                return q, RMorphism(BlockMap(u.target, gamma, u.eta.images)), v
+                _, u, j = super().normal_factorize(m)
+                source = m.source
+                hit = sorted(set(m.images))
+                ends = hit[1:] + [source.num_blocks]
+                sizes = tuple(sum(source.block_sizes[i:k]) for i, k in zip([0] + hit[1:], ends))
+                gamma = OrderedPartition(source.n, sizes)
+                q = BlockMap(source, gamma, tuple(hit))
+                return q, BlockMap(gamma, u.target, u.images), j
 
         wrong = {"reason": "image absorption disagrees with oracle", "morphism": "[1,3]"}
         for n, witness in ((3, None), (4, wrong)):
@@ -225,10 +225,10 @@ class TestFaultInjection:
                 return q, u, v
 
         monkeypatch.setattr(verify, "partition_category", lambda n, cat=Planted(3): cat)
-        monkeypatch.setattr(verify, "_gamma_oracle", lambda eta: None)
+        monkeypatch.setattr(verify, "_gamma_oracle", lambda m: None)
         report = run_check("factorize-Pi", 3)
         assert report.witness == {
-            "category": "Pi", "axiom": "factorization-isomorphism", "morphism": str(victim.eta),
+            "category": "Pi", "axiom": "factorization-isomorphism", "morphism": str(victim),
         }
         monkeypatch.setattr(verify, "partition_category", lambda n, cat=PartitionCategory(3): cat)
         assert run_check("factorize-Pi", 3).witness["reason"] == "image absorption disagrees with oracle"
@@ -268,6 +268,17 @@ class TestFaultInjection:
             "characterization": False,
             "oracle": True,
         }
+
+    def test_non_injective_principal_cone_fails_tl_iso(self, fresh_builds, monkeypatch):
+        """TL-iso reads its explicit map by index, since the cone semigroup
+        is built from the principal cones in map order; a principal_cone
+        that sends two maps to one cone must still fail it."""
+        victim, twin = OPMap((1, 1, 2)), OPMap((1, 1, 1))
+        principal_cone = LCategory.principal_cone
+        monkeypatch.setattr(LCategory, "principal_cone", lambda cat, a: principal_cone(cat, twin if a == victim else a))
+        report = run_check("TL-iso", 3)
+        assert report.status == "fail"
+        assert report.witness["exception"].startswith("ValueError: duplicate element")
 
     def test_broken_roundtrip_names_map_and_cone(self, monkeypatch):
         cat = verify.powerset_category(3)
