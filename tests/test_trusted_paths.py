@@ -1,7 +1,8 @@
 """Composites, containments, identities, inclusions, retractions,
 idempotents, enumerated hom-sets, canonical forms, and the subsets of
-submap factorizations and images built inside the library skip
-validation; these tests hold them to the validating constructors, the
+submap factorizations, images and proper subsets built inside the library
+skip validation, the subsets and partitions one shared instance per value;
+these tests hold them to the validating constructors, the
 unvalidated values to the size of validated ones, the cached kernels and
 images to a fresh computation, and the factorization oracles to their
 independence from what they check."""
@@ -141,6 +142,8 @@ def test_enumerated_maps_and_submap_factors_equal_validated_ones():
         checked = _rebuilt(m)
         assert type(m) is type(checked)
         assert m == checked and hash(m) == hash(checked)
+        assert type(m) is not Subset or m is Subset._shared(m.n, m.elements)
+    assert all(q.codomain is u.domain and u.codomain is j.domain for q, u, j in factors)
     assert len(built) == 6 * 660 + 229
 
 
@@ -263,17 +266,6 @@ def test_proper_subsets_are_shared_validated_instances():
         for a in proper_subsets(n):
             assert a == Subset(n, a.elements)
             assert a is Subset._shared(n, a.elements)
-
-
-def test_submap_factorization_subsets_are_shared():
-    for n in range(3, 6):
-        subsets = powerset_category(n).objects()
-        for f in [f for a in subsets for b in subsets for f in submaps_between(a, b)]:
-            q, u, j = factorize_submap(f)
-            assert q.codomain is u.domain and u.codomain is j.domain
-            for a in (u.domain, u.codomain):
-                assert a == Subset(a.n, a.elements)
-                assert a is Subset._shared(a.n, a.elements)
 
 
 @pytest.mark.parametrize("oracle", [_sigma_oracle, _gamma_oracle])
