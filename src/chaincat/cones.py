@@ -24,7 +24,8 @@ class FiniteCategory(ABC):
 
     Morphism values must be hashable and expose ``source`` and ``target``
     attributes naming objects of the category.  Objects, hom-sets and cone
-    tables are computed on first use and cached on the instance.
+    tables are computed on first use and cached on the instance, where a
+    subclass also keeps its designated inclusions, in ``_inclusions``.
     """
 
     def __init__(self):
@@ -33,6 +34,7 @@ class FiniteCategory(ABC):
         self._hom_cache: dict = {}
         self._cone_frame: tuple | None = None
         self._cone_tables: dict = {}
+        self._inclusions: dict = {}
 
     # -- enumeration ------------------------------------------------------
 
@@ -363,15 +365,24 @@ class _Products:
     ``steps[v][s]`` is the step of the second cone's component with code
     ``s`` in the cone table of vertex position ``v``: the epimorphic part of
     that component, shared by every component with the same epimorphic part,
-    with its target vertex and ``products``, the code of each maximal
-    first-cone component composed with it.
+    with its target vertex, ``products``, the code of each maximal
+    first-cone component composed with it, and ``known``, the product cone
+    for each tuple of maximal first-cone codes already multiplied.  The
+    epimorphic part's source is the first cone's vertex, so the step and
+    those codes fix the product.
+
+    ``cones`` keeps one cone per cone table and tuple of maximal codes, the
+    vertex's table standing for its category and vertex position.  Seeded
+    with the cones of a build, it makes every product that lands in the
+    element set that element itself; a product outside it is built once.
     """
 
-    __slots__ = ("steps", "by_epi")
+    __slots__ = ("steps", "by_epi", "cones")
 
-    def __init__(self):
+    def __init__(self, cones=()):
         self.steps: dict = {}
         self.by_epi: dict = {}
+        self.cones: dict = {(c._table, c._codes): c for c in cones}
 
 
 def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
@@ -379,9 +390,13 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     the epimorphic part of the second's component at the first vertex.
 
     Only the components at the maximal objects are composed; the product
-    derives the others from them.  ``memo`` carries factorizations and
-    component products from one call to the next; every entry is computed by
-    the category's ``normal_factorize`` and ``compose``.
+    derives the others from them.  ``memo`` carries factorizations,
+    component products and product cones from one call to the next; every
+    entry is computed by the category's ``normal_factorize`` and
+    ``compose``.  A product is fixed by the epimorphic part and the first
+    cone's maximal codes, so a pair seen before is answered from the step's
+    ``known`` map, and a product equal to a cone the memo was seeded with
+    is that cone (see ``_Products``).
     """
     if gamma.category is not sigma.category:
         raise ValueError("cones live over different categories")
@@ -401,9 +416,12 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
         step = memo.by_epi.get(epi)
         if step is None:
             v = epi.target
-            step = memo.by_epi[epi] = (epi, v, cat.position(v), cat.cone_table(v), {})
+            step = memo.by_epi[epi] = (epi, v, cat.position(v), cat.cone_table(v), {}, {})
         steps[s] = step
-    epi, vertex, at, table, products = step
+    epi, vertex, at, table, products, known = step
+    product = known.get(gamma._codes)
+    if product is not None:
+        return product
     member = gamma._table.member
     codes = []
     for k, c in zip(table.maximal, gamma._codes):
@@ -413,20 +431,30 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
             if type(c) is int:
                 products[c] = p
         codes.append(p)
-    return Cone._coded(cat, vertex, at, table, tuple(codes))
+    key = (table, tuple(codes))
+    product = memo.cones.get(key)
+    if product is None:
+        product = memo.cones[key] = Cone._coded(cat, vertex, at, table, key[1])
+    known[gamma._codes] = product
+    return product
 
 
 def cone_semigroup(category: FiniteCategory, cones) -> FiniteSemigroup:
     """The semigroup of the given normal cones under cone multiplication.
 
     Every input cone is validated, and closure failures surface the escaping
-    product.  Products share one memo for the length of the build.
+    product.  Products share one memo for the length of the build, seeded
+    with the input cones: a product is fixed by its vertex and maximal
+    codes, so when the cones are closed under multiplication every product
+    is an input cone itself, and ``build`` finds its index by identity.  A
+    product outside the inputs is a cone of its own, the witness of the
+    ``ClosureError``.
     """
     cones = list(cones)
     for c in cones:
         if not validate_cone(c) or not _mset_unchecked(c):
             raise ValueError(f"input {c!r} is not a normal cone")
-    memo = _Products()
+    memo = _Products(cones)
     return build(cones, lambda gamma, sigma: cone_mul(gamma, sigma, memo))
 
 

@@ -95,7 +95,11 @@ class LCategory(FiniteCategory):
         return a.issubset(b)
 
     def inclusion(self, a: Subset, b: Subset) -> SubMap:
-        return SubMap.inclusion(a, b)
+        """Carried by set inclusion; built once per pair."""
+        key = (a, b)
+        if key not in self._inclusions:
+            self._inclusions[key] = SubMap.inclusion(a, b)
+        return self._inclusions[key]
 
     def retraction(self, a: Subset, b: Subset) -> SubMap:
         return retraction_for_inclusion(a, b)
@@ -182,7 +186,6 @@ class RCategory(FiniteCategory):
     def __init__(self, n: int):
         super().__init__()
         self.n = check_chain_size(n)
-        self._inclusions: dict = {}
 
     def _compute_objects(self):
         return ordered_partitions(self.n)

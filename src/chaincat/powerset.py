@@ -34,7 +34,11 @@ def cone_to_opmap(gamma: Cone) -> OPMap:
         raise ValueError("expected a cone over the powerset category")
     if not mset(gamma):
         raise ValueError("cone is not normal")
-    n = cat.n
-    values = tuple(gamma.component(Subset(n, (x,)))(x) for x in range(1, n + 1))
-    return OPMap(values)
+    return _read_opmap(gamma)
 
+
+def _read_opmap(gamma: Cone) -> OPMap:
+    """``cone_to_opmap`` for a cone already known to be a normal cone over
+    the powerset category, such as an element of a cone semigroup."""
+    n = gamma.category.n
+    return OPMap(tuple(gamma.component(Subset(n, (x,)))(x) for x in range(1, n + 1)))

@@ -25,7 +25,7 @@ from .cones import (
 )
 from .ideals import LCategory, RCategory, phi_representation
 from .partitions import PartitionCategory
-from .powerset import PowersetCategory, cone_to_opmap
+from .powerset import PowersetCategory, _read_opmap
 from .semigroups import (
     AssociativityError,
     ClosureError,
@@ -312,7 +312,7 @@ def check_tl_iso(n: int):
 def check_tpo_iso(n: int):
     ox, cones = oxn_semigroup(n), tpo_semigroup(n)
     counts, ok = _cone_iso_counts(ox, cones)
-    unread = next(((a, c) for a, c in zip(ox.elements, cones.elements) if cone_to_opmap(c) != a), None)
+    unread = next(((a, c) for a, c in zip(ox.elements, cones.elements) if _read_opmap(c) != a), None)
     counts["roundtrip"] = int(unread is None)
     if unread is not None:
         return False, counts, {
@@ -429,7 +429,7 @@ CHECKS: dict[str, CheckDef] = {
     "G-iso": CheckDef(check_g_iso, 3, 6),
     "TPo-iso": CheckDef(check_tpo_iso, 3, 5),
     "phi-faithful": CheckDef(check_phi_faithful, 3, 5),
-    "cone-regular": CheckDef(check_cone_regular, 3, 4),
+    "cone-regular": CheckDef(check_cone_regular, 3, 5),
 }
 
 

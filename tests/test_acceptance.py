@@ -134,7 +134,7 @@ def test_criterion_08_literal_homomorphism_clause():
 
 
 def test_criterion_09_cone_semigroup_algebra():
-    ok, detail, elapsed = _run("cone-regular", (3, 4))
+    ok, detail, elapsed = _run("cone-regular", (3, 4, 5))
     _line("9-cone-semigroup-algebra", ok, detail, elapsed)
     assert ok
     assert elapsed < 60_000

@@ -4,8 +4,8 @@ or a composed product."""
 
 import pytest
 
-from chaincat import verify
-from chaincat.cones import Cone, cone_json, cone_mul, validate_cone
+from chaincat import cones, verify
+from chaincat.cones import Cone, cone_json, cone_mul, cone_semigroup, validate_cone
 from chaincat.chain import (
     BlockMap,
     OPMap,
@@ -24,6 +24,7 @@ from chaincat.ideals import (
     r_morphism_from_triple,
 )
 from chaincat.powerset import PowersetCategory
+from chaincat.semigroups import ClosureError, build
 
 TABLES = {
     "L": (verify.left_category, verify.tl_semigroup),
@@ -52,6 +53,89 @@ def test_cone_table_matches_plain_products(label, n):
             k = s.table[i][j]
             assert s.elements[k].vertex == vertex, (label, i, j)
             assert components[k] == expected, (label, i, j)
+
+
+# ---------------------------------------------------------------------------
+# shared product cones: a build's products are its own input cones
+
+PRODUCT_CASES = [(label, n) for label in TABLES for n in (3, 4)]
+
+
+def _inputs(label, n):
+    """A category and the cones its semigroup in ``TABLES`` is built from."""
+    make_category, make_semigroup = TABLES[label]
+    return make_category(n), make_semigroup(n).elements
+
+
+@pytest.mark.parametrize("label,n", PRODUCT_CASES)
+def test_every_product_is_the_element_itself(label, n, monkeypatch):
+    cat, inputs = _inputs(label, n)
+    products = []
+
+    def recording_build(elements, mul_fn):
+        def mul(a, b):
+            products.append(mul_fn(a, b))
+            return products[-1]
+
+        return build(elements, mul)
+
+    monkeypatch.setattr(cones, "build", recording_build)
+    s = cone_semigroup(cat, inputs)
+    assert s.elements == inputs
+    m = s.order
+    assert len(products) == m * m
+    for i, gamma in enumerate(s.elements):
+        for j, sigma in enumerate(s.elements):
+            product = products[i * m + j]
+            assert product is s.elements[s.table[i][j]], (label, i, j)
+            # a bare product, with a memo of its own, is a new cone equal
+            # to the element
+            bare = cone_mul(gamma, sigma)
+            assert bare == product and bare is not product, (label, i, j)
+
+
+def _plant_escaping_product(cat, inputs, monkeypatch):
+    """Plant a wrong product of one maximal component with one epimorphic
+    part, chosen so that the cone product through it leaves the inputs."""
+    planted: dict = {}
+    original = type(cat).compose
+
+    def compose(self, f, g):
+        wrong = planted.get((f, g))
+        return original(self, f, g) if wrong is None else wrong
+
+    monkeypatch.setattr(type(cat), "compose", compose)
+    known = set(inputs)
+    for gamma in inputs:
+        g = gamma.component(cat.objects()[gamma._table.maximal[0]])
+        for sigma in inputs:
+            q, u, _ = cat.normal_factorize(sigma.component(gamma.vertex))
+            epi = cat.compose(q, u)
+            right = cat.compose(g, epi)
+            for wrong in cat.hom(g.source, epi.target):
+                if wrong == right:
+                    continue
+                planted[(g, epi)] = wrong
+                if cone_mul(gamma, sigma) not in known:
+                    return
+                del planted[(g, epi)]
+    raise AssertionError("no wrong component product escapes the inputs")
+
+
+@pytest.mark.parametrize("label,n", PRODUCT_CASES)
+def test_a_wrong_component_product_escapes_as_a_fresh_cone(label, n, fresh_builds, monkeypatch):
+    # building the inputs' semigroup fills the cone tables' rows before
+    # anything is planted
+    cat, inputs = _inputs(label, n)
+    _plant_escaping_product(cat, inputs, monkeypatch)
+    with pytest.raises(ClosureError) as caught:
+        cone_semigroup(cat, inputs)
+    exc = caught.value
+    assert exc.product not in set(inputs)
+    assert all(exc.product is not c for c in inputs)
+    assert exc.product == cone_mul(exc.left, exc.right)
+    monkeypatch.undo()
+    assert exc.product != cone_mul(exc.left, exc.right)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

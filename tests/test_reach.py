@@ -35,6 +35,8 @@ UNREACHED = {
     "chain.Subset.full",
     "chain.Subset.of",
     "chain.green",
+    "cones.mset",
+    "powerset.cone_to_opmap",
     # failure path only: entered when a check fails, a build raises, a
     # cone or carrier value is mutated or a value is added or repeated
     # like a tuple

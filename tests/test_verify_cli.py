@@ -49,12 +49,21 @@ class TestRunner:
     def test_run_all_caps_per_check(self):
         reports = run_all(5)
         by_name = {r.check: r for r in reports}
-        assert by_name["cone-regular"].n == 4
-        assert by_name["cone-regular"].counts["capped_from"] == 5
+        assert by_name["cone-regular"].n == 5 and "capped_from" not in by_name["cone-regular"].counts
         assert by_name["factorize-L"].n == 5 and "capped_from" not in by_name["factorize-L"].counts
         assert by_name["green"].n == 5 and "capped_from" not in by_name["green"].counts
         assert all(r.status == "pass" for r in reports)
         assert len(reports) == len(CHECKS)
+
+    def test_run_all_caps_a_check_past_its_maximum(self, monkeypatch):
+        # every registered maximum is at least 5, so n=6 caps green at 5;
+        # two cheap checks keep the run short
+        monkeypatch.setattr(verify, "CHECKS", {name: CHECKS[name] for name in ("counts", "green")})
+        reports = run_all(6)
+        assert [(r.check, r.n) for r in reports] == [("counts", 6), ("green", 5)]
+        assert "capped_from" not in reports[0].counts
+        assert reports[1].counts["capped_from"] == 6
+        assert all(r.status == "pass" for r in reports)
 
     def test_report_dict_schema(self):
         report = run_check("counts", 4)
@@ -283,13 +292,13 @@ class TestFaultInjection:
     def test_broken_roundtrip_names_map_and_cone(self, monkeypatch):
         cat = verify.powerset_category(3)
         victim = OPMap((1, 1, 2))
-        cone_to_opmap = verify.cone_to_opmap
+        read_opmap = verify._read_opmap
 
         def planted(gamma):
-            a = cone_to_opmap(gamma)
+            a = read_opmap(gamma)
             return OPMap((1, 1, 1)) if a == victim else a
 
-        monkeypatch.setattr(verify, "cone_to_opmap", planted)
+        monkeypatch.setattr(verify, "_read_opmap", planted)
         report = run_check("TPo-iso", 3)
         assert report.status == "fail"
         assert report.counts["roundtrip"] == 0
