@@ -6,11 +6,16 @@ partition, since the ideal depends only on those.  Morphisms are kept in
 canonical form: the restriction ``SubMap``, respectively the induced
 ``BlockMap``, whose images run from the target kernel's blocks back to the
 source kernel's.  Hom-sets come honestly from the distinct elements of
-semigroup sandwich sets, each canonicalized once; the powerset and
+semigroup sandwich sets, read off one column of right products per
+object and each canonicalized once; the powerset and
 partition categories reuse both classes but enumerate their hom-sets.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 
 from .chain import (
     BlockMap,
@@ -54,13 +59,44 @@ def l_morphism_from_triple(e_a: OPMap, u: OPMap, e_b: OPMap) -> SubMap:
     return restrict(u, a, codomain=b)
 
 
+def _reader(positions: list[int]):
+    """A function reading a sequence at the given positions into a tuple,
+    by one ``itemgetter``; with one position it would return a bare value,
+    hence the case of its own."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda seq: (seq[k],)
+    return itemgetter(*positions)
+
+
+@lru_cache(maxsize=None)
+def _oxn_positions(n: int) -> dict[OPMap, int]:
+    """The position of each singular map in ``enumerate_oxn(n)``."""
+    return {s: k for k, s in enumerate(enumerate_oxn(n))}
+
+
 def _sandwich_sets(category, e: OPMap, idempotent):
     """Each object c with the distinct elements of e*S*idempotent(c), in order
-    of first occurrence over the singular maps; the products e*s are shared."""
-    left = dict.fromkeys([compose_maps(e, s) for s in enumerate_oxn(category.n)])
+    of first occurrence over the singular maps.
+
+    The elements are the shared maps of ``enumerate_oxn``.  For a singular
+    e, each e*s is itself a singular map s', so (e*s)*e_c = s'*e_c is an
+    entry of c's column of right products: the positions of s'*e_c for
+    every singular s', kept on the category and filled on first use.  A
+    fill makes the products e*s once, as positions, and reads every
+    sandwich set off the columns; filling all rows makes
+    2*|objects|*|OX_n| products in all.
+    """
+    elements = enumerate_oxn(category.n)
+    position = _oxn_positions(category.n)
+    left = dict.fromkeys(map(position.__getitem__, map(compose_maps, repeat(e), elements)))
+    columns = category._columns
     for c in category.objects():
-        e_c = idempotent(c)
-        yield c, dict.fromkeys([compose_maps(x, e_c) for x in left])
+        column = columns.get(c)
+        if column is None:
+            products = map(compose_maps, elements, repeat(idempotent(c)))
+            column = columns[c] = list(map(position.__getitem__, products))
+        yield c, map(elements.__getitem__, dict.fromkeys(map(column.__getitem__, left)))
 
 
 class LCategory(FiniteCategory):
@@ -71,6 +107,7 @@ class LCategory(FiniteCategory):
     def __init__(self, n: int):
         super().__init__()
         self.n = check_chain_size(n)
+        self._columns: dict = {}
 
     def _compute_objects(self):
         return proper_subsets(self.n)
@@ -78,11 +115,18 @@ class LCategory(FiniteCategory):
     def _compute_hom(self, a: Subset, b: Subset):
         """hom(a, b) as the canonical forms of the sandwich set e_a*S*e_b,
         in order of first occurrence over the singular maps, filling the
-        whole row hom(a, .) at once.  Each distinct p in e_a*S*e_c is
-        restricted once: p = e_a*p, so p is fixed by its values on a.
+        whole row hom(a, .) at once from the category's columns (see
+        ``_sandwich_sets``).  Each distinct p in e_a*S*e_c is restricted
+        once: p = e_a*p, so p is fixed by its values on a, read by one
+        reader for the row.  As in ``restrict``, every value must lie in
+        c, checked once per hom-set.
         """
+        read = _reader([x - 1 for x in a.elements])
         for c, sandwich in _sandwich_sets(self, idempotent_for_image(a), idempotent_for_image):
-            self._hom_cache.setdefault((a, c), tuple([restrict(p, a, codomain=c) for p in sandwich]))
+            values = [read(p.images) for p in sandwich]
+            if not set().union(*values).issubset(c.elements):
+                raise ValueError(f"a value of the sandwich set from {a} lies outside {c}")
+            self._hom_cache.setdefault((a, c), tuple([SubMap._trusted(a, c, v) for v in values]))
         return self._hom_cache[(a, b)]
 
     def compose(self, f: SubMap, g: SubMap) -> SubMap:
@@ -186,6 +230,7 @@ class RCategory(FiniteCategory):
     def __init__(self, n: int):
         super().__init__()
         self.n = check_chain_size(n)
+        self._columns: dict = {}
 
     def _compute_objects(self):
         return ordered_partitions(self.n)
@@ -194,12 +239,18 @@ class RCategory(FiniteCategory):
         """hom(a, b) as the canonical forms of the sandwich set f*S*e (f, e
         the representative idempotents of b, a), in order of first
         occurrence over the singular maps, filling the whole column
-        hom(., b) at once.  Each distinct v in f*S*e_c is canonicalized
-        once: v = f*v = v*e_c, so v is fixed by its values at the block
-        minima of b, and those are block minima of c.
+        hom(., b) at once from the category's columns of right products
+        (see ``_sandwich_sets``).  Each distinct v in f*S*e_c is
+        canonicalized once, as ``r_canonical`` does: v = f*v = v*e_c, so v
+        is fixed by its values at the block minima of b, read by one
+        reader for the column, and those values are block minima of c,
+        whose blocks they name.
         """
+        read = _reader([block[0] - 1 for block in b.blocks])
         for c, sandwich in _sandwich_sets(self, idempotent_for_kernel(b), idempotent_for_kernel):
-            self._hom_cache.setdefault((c, b), tuple([r_canonical(c, b, v) for v in sandwich]))
+            block_of = (None,) + c._block_index
+            hom = [BlockMap._trusted(c, b, tuple(map(block_of.__getitem__, read(v.images)))) for v in sandwich]
+            self._hom_cache.setdefault((c, b), tuple(hom))
         return self._hom_cache[(a, b)]
 
     def compose(self, m1: BlockMap, m2: BlockMap) -> BlockMap:

@@ -420,13 +420,13 @@ class CheckDef:
 CHECKS: dict[str, CheckDef] = {
     "counts": CheckDef(check_counts, 3, 7),
     "green": CheckDef(check_green, 3, 5),
-    "factorize-L": CheckDef(check_factorize_l, 3, 5),
-    "factorize-Po": CheckDef(check_factorize_po, 3, 5),
+    "factorize-L": CheckDef(check_factorize_l, 3, 6),
+    "factorize-Po": CheckDef(check_factorize_po, 3, 6),
     "factorize-Pi": CheckDef(check_factorize_pi, 3, 6),
     "cones-principal": CheckDef(check_cones_principal, 3, 6),
     "TL-iso": CheckDef(check_tl_iso, 3, 5),
-    "F-iso": CheckDef(check_f_iso, 3, 6),
-    "G-iso": CheckDef(check_g_iso, 3, 6),
+    "F-iso": CheckDef(check_f_iso, 3, 7),
+    "G-iso": CheckDef(check_g_iso, 3, 7),
     "TPo-iso": CheckDef(check_tpo_iso, 3, 5),
     "phi-faithful": CheckDef(check_phi_faithful, 3, 5),
     "cone-regular": CheckDef(check_cone_regular, 3, 5),

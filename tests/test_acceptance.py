@@ -60,7 +60,7 @@ def test_criterion_03_normal_category_axioms():
         start = time.perf_counter()
         ok = True
         witness = None
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6):
             good, _, wit = check_normal_category_axioms(make(n))
             if not good:
                 ok, witness = False, wit
@@ -89,8 +89,8 @@ def test_criterion_05_cone_semigroups_isomorphic():
 
 
 def test_criterion_06_category_isomorphisms():
-    ok_f, detail_f, t1 = _run("F-iso", (3, 4, 5, 6))
-    ok_g, detail_g, t2 = _run("G-iso", (3, 4, 5, 6))
+    ok_f, detail_f, t1 = _run("F-iso", (3, 4, 5, 6, 7))
+    ok_g, detail_g, t2 = _run("G-iso", (3, 4, 5, 6, 7))
     ok = ok_f and ok_g
     _line("6-functor-isomorphisms", ok, f"{detail_f} | {detail_g}", t1 + t2)
     assert ok

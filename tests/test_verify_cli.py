@@ -45,6 +45,9 @@ class TestRunner:
             run_check("green", 9)
         with pytest.raises(ValueError):
             run_check("counts", 2)
+        for name, past in (("factorize-L", 7), ("factorize-Po", 7), ("F-iso", 8), ("G-iso", 8)):
+            with pytest.raises(ValueError, match="supports n"):
+                run_check(name, past)
 
     def test_run_all_caps_per_check(self):
         reports = run_all(5)
