@@ -5,9 +5,10 @@ maps.  Everything downstream works pointwise on the values stored here.
 Submaps and block maps carry the morphisms of the four categories; a block
 map p -> q is carried by a map back from the blocks of q to those of p.
 
-Values built from outside are validated on construction.  Values the library
-builds from valid ones (composites, images, kernels, factors, enumerated
-hom-sets) go through each map class's ``_trusted`` and skip the check;
+Values built from outside are validated on construction, their entries by
+one check, ``_check_monotone``.  Values the library builds from valid ones
+(composites, images, kernels, factors, enumerated hom-sets) go through the
+one trusted constructor, ``_TupleValue._trusted``, and skip the check;
 subsets and partitions built that way go through ``Subset._shared`` and
 ``OrderedPartition._shared``, which keep one instance per value."""
 
@@ -33,6 +34,23 @@ def _check_tuple(values: tuple, n: int = 0) -> None:
         raise ValueError(f"expected a tuple, got {values!r}")
     if type(n) is not int:
         raise ValueError(f"chain size must be an int, got {n!r}")
+
+
+def _check_monotone(values: tuple, allowed, what: str) -> None:
+    """Reject a sequence with an entry that is not an int in ``allowed``
+    (a bool is not, though Python counts it as one) or that is below the
+    entry before it; ``what`` names the sequence in the message."""
+    for v in values:
+        if type(v) is not int or v not in allowed:
+            raise ValueError(f"{what} {values}: {v!r} is not an int in {allowed}")
+    if values != tuple(sorted(values)):
+        raise ValueError(f"{what} {values} not monotone")
+
+
+def _check_point(x: int, n: int) -> None:
+    """Reject x unless it is an int point of the chain 1..n; a bool is not."""
+    if type(x) is not int or not 1 <= x <= n:
+        raise ValueError(f"{x!r} is not a point of the chain 1..{n}")
 
 
 def _runs(values: tuple) -> tuple[tuple[int, ...], tuple]:
@@ -65,7 +83,8 @@ class _TupleValue:
     concatenates, since tuple's own ``+`` runs first.  Ordering is tuple
     ordering on the layout, iteration yields the fields and ``len`` counts
     them, unless a class says otherwise.  ``_make``, which ``_replace``
-    calls, validates like the class's constructor.
+    calls, validates like the class's constructor; ``_trusted`` builds
+    from the layout without validation.
 
     A value equals the bare tuple of its layout, and the layouts keep the
     classes apart: no value equals, or hashes like, a value of another
@@ -78,6 +97,11 @@ class _TupleValue:
     @classmethod
     def _make(cls, fields):
         return cls(*fields)
+
+    @classmethod
+    def _trusted(cls, *layout):
+        """Build from the layout without validation, for values known to be valid."""
+        return tuple.__new__(cls, layout)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} values are immutable")
@@ -101,7 +125,7 @@ class OPMap(_TupleValue, namedtuple("OPMap", "images")):
     Stored as its image sequence: ``images[x-1]`` is the value of the map at
     ``x``.  Composition is left to right, so ``(f * g)(x) = g(f(x))``.
     Built from outside, the sequence is validated; composites built inside
-    the library go through ``_trusted`` and skip the check.
+    the library are built trusted and skip the check.
 
     The map is the 1-tuple ``(images,)`` and behaves as ``_TupleValue``
     says: it hashes as ``hash((images,))`` and equals every other OPMap
@@ -113,21 +137,9 @@ class OPMap(_TupleValue, namedtuple("OPMap", "images")):
 
     def __new__(cls, images: tuple[int, ...]) -> OPMap:
         _check_tuple(images)
-        n = len(images)
-        if n == 0:
+        if not images:
             raise ValueError("empty image sequence")
-        prev = 1
-        for v in images:
-            if type(v) is not int or not 1 <= v <= n:
-                raise ValueError(f"value {v!r} is not an int in 1..{n} in {images}")
-            if v < prev:
-                raise ValueError(f"image sequence {images} is not monotone")
-            prev = v
-        return tuple.__new__(cls, (images,))
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> OPMap:
-        """Build without validation, for image sequences known to be valid."""
+        _check_monotone(images, range(1, len(images) + 1), "image sequence")
         return tuple.__new__(cls, (images,))
 
     @classmethod
@@ -144,8 +156,7 @@ class OPMap(_TupleValue, namedtuple("OPMap", "images")):
 
     def __call__(self, x: int) -> int:
         images = self.images
-        if type(x) is not int or not 1 <= x <= len(images):
-            raise ValueError(f"{x!r} is not a point of the chain 1..{len(images)}")
+        _check_point(x, len(images))
         return images[x - 1]
 
     def __mul__(self, other: OPMap) -> OPMap:
@@ -192,13 +203,9 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
         _check_tuple(elements, n)
         if not elements:
             raise ValueError("subset must be nonempty")
-        prev = 0
-        for v in elements:
-            if type(v) is not int or not 1 <= v <= n:
-                raise ValueError(f"element {v!r} is not an int in 1..{n}")
-            if v <= prev:
-                raise ValueError(f"elements {elements} not strictly increasing")
-            prev = v
+        _check_monotone(elements, range(1, n + 1), "elements")
+        if len(set(elements)) < len(elements):
+            raise ValueError(f"elements {elements} not strictly increasing")
         return tuple.__new__(cls, (n, elements))
 
     @staticmethod
@@ -206,7 +213,7 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
     def _shared(n: int, elements: tuple[int, ...]) -> Subset:
         """The one trusted instance for elements known to be valid, so its
         positions are computed once per process."""
-        return tuple.__new__(Subset, (n, elements))
+        return Subset._trusted(n, elements)
 
     @classmethod
     def of(cls, n: int, elements) -> Subset:
@@ -280,7 +287,7 @@ class OrderedPartition(_TupleValue, namedtuple("OrderedPartition", "block_sizes 
     def _shared(n: int, block_sizes: tuple[int, ...]) -> OrderedPartition:
         """The one trusted instance for block sizes known to be valid, so
         its blocks, cuts and block index are computed once per process."""
-        return tuple.__new__(OrderedPartition, (block_sizes, n))
+        return OrderedPartition._trusted(block_sizes, n)
 
     @property
     def num_blocks(self) -> int:
@@ -307,7 +314,8 @@ class OrderedPartition(_TupleValue, namedtuple("OrderedPartition", "block_sizes 
         return tuple(idx)
 
     def block_of(self, x: int) -> int:
-        """0-based index of the block containing x."""
+        """0-based index of the block containing the point x."""
+        _check_point(x, self.n)
         return self._block_index[x - 1]
 
     @cached_property
@@ -345,18 +353,7 @@ class SubMap(_TupleValue, namedtuple("SubMap", "domain codomain values")):
             raise ValueError("domain and codomain live on different chains")
         if len(values) != len(domain):
             raise ValueError(f"need {len(domain)} values, got {len(values)}")
-        prev = 0
-        for v in values:
-            if type(v) is not int or v not in codomain:
-                raise ValueError(f"value {v!r} is not an int in codomain {codomain}")
-            if v < prev:
-                raise ValueError(f"values {values} not monotone")
-            prev = v
-        return tuple.__new__(cls, (domain, codomain, values))
-
-    @classmethod
-    def _trusted(cls, domain: Subset, codomain: Subset, values: tuple[int, ...]) -> SubMap:
-        """Build without validation, for values valid by construction."""
+        _check_monotone(values, codomain.elements, "values")
         return tuple.__new__(cls, (domain, codomain, values))
 
     @classmethod
@@ -378,10 +375,10 @@ class SubMap(_TupleValue, namedtuple("SubMap", "domain codomain values")):
         return self.codomain
 
     def __call__(self, x: int) -> int:
-        try:
-            return self.values[self.domain._positions[x]]
-        except KeyError:
-            raise ValueError(f"{x!r} is not in the domain {self.domain}") from None
+        i = self.domain._positions.get(x) if type(x) is int else None
+        if i is None:
+            raise ValueError(f"{x!r} is not in the domain {self.domain}")
+        return self.values[i]
 
     def then(self, other: SubMap) -> SubMap:
         if self.codomain != other.domain:
@@ -416,18 +413,7 @@ class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
             raise ValueError("source and target partition different chains")
         if len(images) != target.num_blocks:
             raise ValueError(f"need {target.num_blocks} block images, got {len(images)}")
-        prev = 0
-        for j in images:
-            if type(j) is not int or not 0 <= j < source.num_blocks:
-                raise ValueError(f"block index {j!r} is not an int in range for {source}")
-            if j < prev:
-                raise ValueError(f"block images {images} not monotone")
-            prev = j
-        return tuple.__new__(cls, (source, target, images))
-
-    @classmethod
-    def _trusted(cls, source: OrderedPartition, target: OrderedPartition, images: tuple[int, ...]) -> BlockMap:
-        """Build without validation, for values valid by construction."""
+        _check_monotone(images, range(source.num_blocks), "block images")
         return tuple.__new__(cls, (source, target, images))
 
     @classmethod

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter
 
 from .chain import (
     BlockMap,
@@ -37,7 +36,7 @@ from .chain import (
     retraction_for_inclusion,
 )
 from .cones import Cone, FiniteCategory, cone_semigroup
-from .semigroups import ElementMap, build as build_semigroup
+from .semigroups import ElementMap, _reader, build as build_semigroup
 from .chain import compose as compose_maps
 
 
@@ -57,16 +56,6 @@ def l_morphism_from_triple(e_a: OPMap, u: OPMap, e_b: OPMap) -> SubMap:
     if not a.is_proper() or not b.is_proper():
         raise ValueError("left-ideal objects need proper subsets")
     return restrict(u, a, codomain=b)
-
-
-def _reader(positions: list[int]):
-    """A function reading a sequence at the given positions into a tuple,
-    by one ``itemgetter``; with one position it would return a bare value,
-    hence the case of its own."""
-    if len(positions) == 1:
-        (k,) = positions
-        return lambda seq: (seq[k],)
-    return itemgetter(*positions)
 
 
 @lru_cache(maxsize=None)

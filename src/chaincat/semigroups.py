@@ -99,18 +99,24 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
     return FiniteSemigroup(elements, table, index)
 
 
+def _reader(positions: Sequence[int]):
+    """A function reading a sequence at the given positions into a tuple,
+    by one ``itemgetter``; with one position it would return a bare value,
+    hence the case of its own."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda seq: (seq[k],)
+    return itemgetter(*positions)
+
+
 def _check_rows_associative(elements: list, table: list[list[int]]) -> None:
     """Raise AssociativityError at the first (i, j, k) in order with
     ``(i*j)*k != i*(j*k)``, comparing whole rows at a time."""
     m = len(table)
-    if m == 1:
-        # Associative, its one product being its element; and itemgetter
-        # with a single index would return a bare value, not a row.
-        return
     rows = [tuple(row) for row in table]
     # through[j] reads a row at the entries of row j: row i through it is
     # i*(j*k) over k.
-    through = [itemgetter(*row) for row in rows]
+    through = [_reader(row) for row in rows]
     for i, ti in enumerate(rows):
         for j, t_ij in enumerate(ti):
             if through[j](ti) != rows[t_ij]:

@@ -568,6 +568,9 @@ class TestSubsetPartition:
         assert p.blocks == ((1,), (2, 3), (4,))
         assert [p.block_of(x) for x in (1, 2, 3, 4)] == [0, 1, 1, 2]
         assert str(p) == "(1,2,1)"
+        for x in (0, -1, p.n + 1, True, 1.0):
+            with pytest.raises(ValueError, match=r"not a point of the chain 1\.\.4"):
+                p.block_of(x)
 
     def test_issubset_is_set_inclusion(self):
         subsets = list(proper_subsets(4)) + [Subset.full(4)]
@@ -588,12 +591,12 @@ class TestSubMap:
             SubMap(subset(3, 1, 2), subset(3, 1, 3), (1, 2))
         with pytest.raises(ValueError):
             SubMap(subset(3, 1, 2), subset(3, 1, 3), (3, 1))
-        for values in ((1.0, 3), (1, 3.0), (True, 3), [1, 3]):
+        for values in ((1.0, 3), (1, 3.0), (True, 3), [1, 3], (1,), (1, 3, 3)):
             with pytest.raises(ValueError):
                 SubMap(subset(3, 1, 2), subset(3, 1, 3), values)
         p, q = OrderedPartition(3, (2, 1)), OrderedPartition(3, (1, 2))
         assert BlockMap(q, p, (0, 1)).images == (0, 1)
-        for images in ((0, 1.0), (0.0, 1), (False, True), [0, 1]):
+        for images in ((0, 1.0), (0.0, 1), (False, True), [0, 1], (1, 0), (0, 2), (0,)):
             with pytest.raises(ValueError):
                 BlockMap(q, p, images)
 
@@ -615,7 +618,7 @@ class TestSubMap:
     def test_call_off_the_domain(self):
         f = SubMap(subset(4, 1, 3), subset(4, 2, 4), (2, 4))
         assert (f(1), f(3)) == (2, 4)
-        for x in (2, 5):
+        for x in (2, 5, True, 1.0):
             with pytest.raises(ValueError, match=rf"^{x} is not in the domain \{{1,3\}}$"):
                 f(x)
 
