@@ -6,11 +6,13 @@ Submaps and block maps carry the morphisms of the four categories; a block
 map p -> q is carried by a map back from the blocks of q to those of p.
 
 Values built from outside are validated on construction, their entries by
-one check, ``_check_monotone``.  Values the library builds from valid ones
-(composites, images, kernels, factors, enumerated hom-sets) go through the
-one trusted constructor, ``_TupleValue._trusted``, and skip the check;
-subsets and partitions built that way go through ``Subset._shared`` and
-``OrderedPartition._shared``, which keep one instance per value."""
+one check, ``_check_monotone``; a carrier value taken as an argument at the
+public boundary must have exactly its class, by one check, ``_check_type``.
+Values the library builds from valid ones (composites, images, kernels,
+factors, enumerated hom-sets) go through the one trusted constructor,
+``_TupleValue._trusted``, and skip the check; subsets and partitions built
+that way go through ``Subset._shared`` and ``OrderedPartition._shared``,
+which keep one instance per value."""
 
 from __future__ import annotations
 
@@ -26,12 +28,19 @@ MAX_CHAIN = 12
 GREEN_RELATIONS = ("R", "L", "H", "J")
 
 
+def _check_type(value, cls: type) -> None:
+    """Reject a value whose type is not exactly cls.  Every carrier value is
+    a tuple, so a bare tuple passes for none of them, nor a value for a
+    bare tuple."""
+    if type(value) is not cls:
+        raise ValueError(f"expected {cls.__name__}, got {value!r}")
+
+
 def _check_tuple(values: tuple, n: int = 0) -> None:
     """Reject a sequence that is not a tuple, or a chain size n that is not
     an int.  The caller checks each entry is an int; bools are refused too,
     though Python counts them as ints."""
-    if type(values) is not tuple:
-        raise ValueError(f"expected a tuple, got {values!r}")
+    _check_type(values, tuple)
     if type(n) is not int:
         raise ValueError(f"chain size must be an int, got {n!r}")
 
@@ -194,7 +203,8 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
 
     The value is the 2-tuple ``(n, elements)`` and behaves as
     ``_TupleValue`` says; it hashes as ``hash((n, elements))``.  ``len``
-    counts the elements and ``in`` tests membership of a point, although
+    counts the elements and ``in`` tests membership of an int point (a
+    bool or float is in no subset), although
     iteration yields the two fields ``n`` and ``elements``.  Ordering is
     lexicographic on ``(n, elements)``, not inclusion: use ``issubset``.
     """
@@ -227,6 +237,7 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
         return len(self.elements) < self.n
 
     def issubset(self, other: Subset) -> bool:
+        _check_type(other, Subset)
         return self.n == other.n and self._positions.keys() <= other._positions.keys()
 
     @cached_property
@@ -235,7 +246,7 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
         return {x: i for i, x in enumerate(self.elements)}
 
     def __contains__(self, x: int) -> bool:
-        return x in self.elements
+        return type(x) is int and x in self.elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -330,6 +341,7 @@ class OrderedPartition(_TupleValue, namedtuple("OrderedPartition", "block_sizes 
 
     def refines(self, other: OrderedPartition) -> bool:
         """True when every block of self lies inside a block of other."""
+        _check_type(other, OrderedPartition)
         return self.n == other.n and other.cuts <= self.cuts
 
     def __str__(self) -> str:
@@ -348,6 +360,8 @@ class SubMap(_TupleValue, namedtuple("SubMap", "domain codomain values")):
     __slots__ = ()
 
     def __new__(cls, domain: Subset, codomain: Subset, values: tuple[int, ...]) -> SubMap:
+        _check_type(domain, Subset)
+        _check_type(codomain, Subset)
         _check_tuple(values)
         if domain.n != codomain.n:
             raise ValueError("domain and codomain live on different chains")
@@ -358,6 +372,7 @@ class SubMap(_TupleValue, namedtuple("SubMap", "domain codomain values")):
 
     @classmethod
     def identity(cls, a: Subset) -> SubMap:
+        _check_type(a, Subset)
         return cls._trusted(a, a, a.elements)
 
     @classmethod
@@ -408,6 +423,8 @@ class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
     __slots__ = ()
 
     def __new__(cls, source: OrderedPartition, target: OrderedPartition, images: tuple[int, ...]) -> BlockMap:
+        _check_type(source, OrderedPartition)
+        _check_type(target, OrderedPartition)
         _check_tuple(images)
         if source.n != target.n:
             raise ValueError("source and target partition different chains")
@@ -418,6 +435,7 @@ class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
 
     @classmethod
     def identity(cls, p: OrderedPartition) -> BlockMap:
+        _check_type(p, OrderedPartition)
         return cls._trusted(p, p, tuple(range(p.num_blocks)))
 
     @classmethod
@@ -551,6 +569,7 @@ def idempotent_for_image(a: Subset) -> OPMap:
     Sends x to the least element of a that is >= x within the gap structure:
     x <= a1 goes to a1, a_{i-1} < x <= a_i goes to a_i, x >= a_k goes to a_k.
     """
+    _check_type(a, Subset)
     if not a.is_proper():
         raise ValueError("image must be a proper subset; the full chain gives the identity")
     values, prev = [], 0
@@ -563,6 +582,7 @@ def idempotent_for_image(a: Subset) -> OPMap:
 
 def idempotent_for_kernel(p: OrderedPartition) -> OPMap:
     """The idempotent with the given interval kernel, fixing each block's minimum."""
+    _check_type(p, OrderedPartition)
     if not p.is_non_identity():
         raise ValueError("kernel must be a non-identity partition")
     return OPMap._trusted(tuple([block[0] for block in p.blocks for _ in block]))

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 EXHAUSTIVE_ASSOC_LIMIT = 200
 SAMPLED_ASSOC_TRIPLES = 100_000
@@ -48,14 +48,18 @@ class FiniteSemigroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "elements": [str(x) for x in self.elements],
-                "table": self.table,
-            }
-        )
+    def to_json(self, fh: TextIO) -> None:
+        """Write ``{"order", "elements", "table"}`` as JSON into the text
+        file fh, one table row at a time, so no more than one row is held
+        as text.  The bytes are those of ``json.dumps`` on that dict."""
+        names = [str(k) for k in range(self.order)]
+        labels = json.dumps([str(x) for x in self.elements])
+        fh.write(f'{{"order": {self.order}, "elements": {labels}, "table": [')
+        sep = ""
+        for row in self.table:
+            fh.write(sep + "[" + ", ".join(map(names.__getitem__, row)) + "]")
+            sep = ", "
+        fh.write("]}")
 
 
 def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:

@@ -505,6 +505,6 @@ def export_cayley(selector: str, n: int, path: str) -> str:
         )
     s = EXPORTS[selector](n)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(s.to_json())
+        s.to_json(fh)
         fh.write("\n")
     return path

@@ -585,6 +585,40 @@ class TestSubsetPartition:
         assert OrderedPartition(4, (2, 2)).refines(OrderedPartition(4, (2, 2)))
 
 
+_A, _P = Subset(3, (1, 2)), OrderedPartition(3, (2, 1))
+
+# Each public entry point that takes a carrier value, with the class it
+# takes there.
+CARRIER_ARGUMENTS = {
+    "SubMap": (Subset, lambda x: SubMap(x, _A, (1, 2))),
+    "SubMap-codomain": (Subset, lambda x: SubMap(_A, x, (1, 2))),
+    "BlockMap": (OrderedPartition, lambda x: BlockMap(x, _P, (0, 0))),
+    "BlockMap-target": (OrderedPartition, lambda x: BlockMap(_P, x, (0, 0))),
+    "Subset.issubset": (Subset, lambda x: _A.issubset(x)),
+    "OrderedPartition.refines": (OrderedPartition, lambda x: _P.refines(x)),
+    "SubMap.identity": (Subset, lambda x: SubMap.identity(x)),
+    "BlockMap.identity": (OrderedPartition, lambda x: BlockMap.identity(x)),
+    "idempotent_for_image": (Subset, lambda x: idempotent_for_image(x)),
+    "idempotent_for_kernel": (OrderedPartition, lambda x: idempotent_for_kernel(x)),
+}
+
+
+class TestCarrierArguments:
+    @pytest.mark.parametrize("entry", CARRIER_ARGUMENTS)
+    def test_refuses_a_bare_tuple_or_the_other_carrier(self, entry):
+        wanted, call = CARRIER_ARGUMENTS[entry]
+        other = _P if wanted is Subset else _A
+        for x in (tuple(_A), tuple(_P), (1, 2), other):
+            with pytest.raises(ValueError, match=rf"^expected {wanted.__name__}, got "):
+                call(x)
+
+    def test_subset_membership_takes_int_points_only(self):
+        a = Subset(3, (1, 2))
+        assert [x in a for x in (0, 1, 2, 3)] == [False, True, True, False]
+        for x in (True, 1.0, 2.0, "1", None):
+            assert x not in a
+
+
 class TestSubMap:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -376,10 +376,13 @@ def test_opposite_and_antihomomorphism():
 
 
 def test_cayley_json_roundtrip():
+    import io
     import json
 
     s = oxn_semigroup(3)
-    data = json.loads(s.to_json())
+    fh = io.StringIO()
+    assert s.to_json(fh) is None
+    data = json.loads(fh.getvalue())
     assert data["order"] == 9
     assert data["elements"][0] == "[1,1,1]"
     assert data["table"] == s.table

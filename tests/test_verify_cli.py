@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from chaincat.partitions import PartitionCategory
 from chaincat.powerset import PowersetCategory
 from chaincat.verify import (
     CHECKS,
+    SELECTORS,
     CheckReport,
     ResourceLimit,
     check_cones_principal,
@@ -444,6 +446,34 @@ class TestExport:
             export_cayley(selector, n, str(path))
             labels = json.loads(path.read_text())["elements"]
             assert len(set(labels)) == len(labels), selector
+
+    @staticmethod
+    def reference_bytes(s) -> bytes:
+        """The export as one ``json.dumps`` of the whole table, built here
+        from the semigroup's fields, not by the export code."""
+        payload = {"order": len(s.elements), "elements": [str(x) for x in s.elements], "table": s.table}
+        return (json.dumps(payload) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "selector,n", [(selector, 3) for selector in SELECTORS] + [("oxn", n) for n in (4, 5, 6)]
+    )
+    def test_streamed_bytes_equal_one_dump(self, tmp_path, selector, n):
+        path = tmp_path / f"{selector}.json"
+        export_cayley(selector, n, str(path))
+        assert path.read_bytes() == self.reference_bytes(verify.EXPORTS[selector](n))
+
+    def test_export_holds_one_row_not_the_table_as_text(self, tmp_path):
+        # OX_6's table is about 1 MB of JSON; a whole-table string would add
+        # megabytes to the traced peak, one row adds about 2 KB.
+        verify.EXPORTS["oxn"](6)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            export_cayley("oxn", 6, str(tmp_path / "ox6.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 256 * 1024
 
     def test_resource_limit(self, tmp_path):
         with pytest.raises(ResourceLimit):
