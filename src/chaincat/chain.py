@@ -8,11 +8,13 @@ map p -> q is carried by a map back from the blocks of q to those of p.
 Values built from outside are validated on construction, their entries by
 one check, ``_check_monotone``; a carrier value taken as an argument at the
 public boundary must have exactly its class, by one check, ``_check_type``.
-Values the library builds from valid ones (composites, images, kernels,
-factors, enumerated hom-sets) go through the one trusted constructor,
-``_TupleValue._trusted``, and skip the check; subsets and partitions built
-that way go through ``Subset._shared`` and ``OrderedPartition._shared``,
-which keep one instance per value."""
+The hot paths ``compose``, both ``then`` methods, ``image``, ``kernel``,
+``green_class``, ``factorize_submap`` and ``factorize_block_map`` trust
+their arguments instead.  Values the library builds from valid ones
+(composites, images, kernels, factors, enumerated hom-sets) go through the
+one trusted constructor, ``_TupleValue._trusted``, and skip the check;
+subsets and partitions built that way go through ``Subset._shared`` and
+``OrderedPartition._shared``, which keep one instance per value."""
 
 from __future__ import annotations
 
@@ -377,6 +379,7 @@ class SubMap(_TupleValue, namedtuple("SubMap", "domain codomain values")):
 
     @classmethod
     def inclusion(cls, a: Subset, b: Subset) -> SubMap:
+        _check_type(a, Subset)
         if not a.issubset(b):
             raise ValueError(f"{a} is not a subset of {b}")
         return cls._trusted(a, b, a.elements)
@@ -449,6 +452,7 @@ class BlockMap(_TupleValue, namedtuple("BlockMap", "source target images")):
     def containment(cls, coarser: OrderedPartition, finer: OrderedPartition) -> BlockMap:
         """The morphism coarser -> finer sending each block of the finer
         partition to the block containing it."""
+        _check_type(finer, OrderedPartition)
         if not finer.refines(coarser):
             raise ValueError(f"{finer} does not refine {coarser}")
         return cls._at_minima(coarser, finer)
@@ -516,6 +520,8 @@ def green_class(f: OPMap, relation: str):
 
 def green(f: OPMap, g: OPMap, relation: str) -> bool:
     """Whether f and g are Green-related: their green_class keys agree."""
+    _check_type(f, OPMap)
+    _check_type(g, OPMap)
     if f.n != g.n:
         raise ValueError(f"maps on chains of size {f.n} and {g.n} are not comparable")
     return green_class(f, relation) == green_class(g, relation)
@@ -595,6 +601,7 @@ def retraction_for_inclusion(a_sub: Subset, a: Subset) -> SubMap:
     elements of a_sub drops to the lower one; elements outside the span clamp
     to the nearest end.
     """
+    _check_type(a_sub, Subset)
     if not a_sub.issubset(a):
         raise ValueError(f"{a_sub} is not a subset of {a}")
     values, low = [], a_sub.elements[0]
@@ -624,6 +631,9 @@ def restrict(f: OPMap, a: Subset, codomain: Subset) -> SubMap:
     so the submap is built without re-validation; only the codomain is
     checked to hold every value.
     """
+    _check_type(f, OPMap)
+    _check_type(a, Subset)
+    _check_type(codomain, Subset)
     if a.n != f.n or codomain.n != f.n:
         raise ValueError(f"cannot restrict a map on 1..{f.n} to subsets of another chain")
     images = f.images
@@ -636,6 +646,7 @@ def restrict(f: OPMap, a: Subset, codomain: Subset) -> SubMap:
 def extend_by_idempotent(f: SubMap) -> OPMap:
     """Extend a submap to a whole-chain map by precomposing with the step
     idempotent onto its domain.  The extension restricts back to f."""
+    _check_type(f, SubMap)
     e = idempotent_for_image(f.domain)
     return OPMap(tuple(f(e(x)) for x in range(1, f.domain.n + 1)))
 
@@ -643,7 +654,9 @@ def extend_by_idempotent(f: SubMap) -> OPMap:
 def submaps_between(a: Subset, b: Subset) -> tuple[SubMap, ...]:
     """All order-preserving maps a -> b, lexicographically by value sequence.
     Each value sequence is monotone and in b by construction, so only the
-    chain is checked."""
+    arguments' types and chain are checked."""
+    _check_type(a, Subset)
+    _check_type(b, Subset)
     if a.n != b.n:
         raise ValueError(f"{a} and {b} live on different chains")
     return tuple(
@@ -655,7 +668,9 @@ def submaps_between(a: Subset, b: Subset) -> tuple[SubMap, ...]:
 def block_maps_between(p: OrderedPartition, q: OrderedPartition) -> tuple[BlockMap, ...]:
     """All block maps p -> q, lexicographically by image sequence.  Each
     image sequence is monotone and in range by construction, so only the
-    chain is checked."""
+    arguments' types and chain are checked."""
+    _check_type(p, OrderedPartition)
+    _check_type(q, OrderedPartition)
     if p.n != q.n:
         raise ValueError(f"{p} and {q} partition different chains")
     return tuple(

@@ -23,30 +23,26 @@ class FiniteCategory(ABC):
     """Category with subobjects, explicit enough for exhaustive checking.
 
     Morphism values must be hashable and expose ``source`` and ``target``
-    attributes naming objects of the category.  Objects, hom-sets and cone
-    tables are computed on first use and cached on the instance, where a
-    subclass also keeps its designated inclusions, in ``_inclusions``.
+    attributes naming objects of the category.  The objects are fixed at
+    construction; hom-sets, designated inclusions and cone tables are
+    computed on first use and cached on the instance.
     """
 
-    def __init__(self):
-        self._objects: tuple | None = None
-        self._positions: dict = {}
+    def __init__(self, objects):
+        self._objects = tuple(objects)
+        self._positions = {a: k for k, a in enumerate(self._objects)}
         self._hom_cache: dict = {}
+        self._inclusions: dict = {}
         self._cone_frame: tuple | None = None
         self._cone_tables: dict = {}
-        self._inclusions: dict = {}
 
     # -- enumeration ------------------------------------------------------
 
     def objects(self) -> tuple:
-        if self._objects is None:
-            self._objects = tuple(self._compute_objects())
-            self._positions = {a: k for k, a in enumerate(self._objects)}
         return self._objects
 
     def position(self, a) -> int:
         """The index of an object in objects(); ValueError for a non-object."""
-        self.objects()
         k = self._positions.get(a)
         if k is None:
             raise ValueError(f"{a!r} is not an object of this category")
@@ -74,14 +70,14 @@ class FiniteCategory(ABC):
         that is not an object."""
         table = self._cone_tables.get(vertex)
         if table is None:
-            self.position(vertex)
+            at = self.position(vertex)
             if self._cone_frame is None:
                 self._cone_frame = self._maximal_frame()
             members, starts = [], [0]
             for obj in self.objects():
                 members.extend(self.hom(obj, vertex))
                 starts.append(len(members))
-            table = self._cone_tables[vertex] = ConeTable(self, tuple(members), tuple(starts), *self._cone_frame)
+            table = self._cone_tables[vertex] = ConeTable(self, vertex, at, members, starts, *self._cone_frame)
         return table
 
     def _maximal_frame(self) -> tuple:
@@ -106,10 +102,6 @@ class FiniteCategory(ABC):
         return tuple(maximal), tuple(below), tuple(ancestor), inclusions
 
     @abstractmethod
-    def _compute_objects(self):
-        ...
-
-    @abstractmethod
     def _compute_hom(self, a, b):
         ...
 
@@ -127,9 +119,17 @@ class FiniteCategory(ABC):
     def leq(self, a, b) -> bool:
         """The designated subobject order."""
 
-    @abstractmethod
     def inclusion(self, a, b):
-        """The designated inclusion morphism a -> b, defined when leq(a, b)."""
+        """The designated inclusion morphism a -> b, defined when leq(a, b),
+        built once per pair by ``_compute_inclusion``."""
+        j = self._inclusions.get((a, b))
+        if j is None:
+            j = self._inclusions[a, b] = self._compute_inclusion(a, b)
+        return j
+
+    @abstractmethod
+    def _compute_inclusion(self, a, b):
+        ...
 
     @abstractmethod
     def retraction(self, a, b):
@@ -171,7 +171,8 @@ def _code(table: "ConeTable", k: int, f):
 
 
 class ConeTable:
-    """The coding of the cones with one vertex.
+    """The coding of the cones with one vertex, ``vertex``, which is
+    ``objects()[at]``.
 
     ``members`` concatenates hom(obj, vertex) over the objects in objects()
     order, ``codes`` maps each member to its index there, its code, and the
@@ -192,13 +193,17 @@ class ConeTable:
     composed the first time it is asked for and kept with the table.
     """
 
-    __slots__ = ("category", "members", "codes", "starts", "maximal", "below", "ancestor", "_inclusions", "_rows")
+    __slots__ = (
+        "category", "vertex", "at", "members", "codes", "starts", "maximal", "below", "ancestor", "_inclusions", "_rows"
+    )
 
-    def __init__(self, category, members, starts, maximal, below, ancestor, inclusions):
+    def __init__(self, category, vertex, at, members, starts, maximal, below, ancestor, inclusions):
         self.category = category
-        self.members = members
+        self.vertex = vertex
+        self.at = at
+        self.members = tuple(members)
         self.codes = {f: i for i, f in enumerate(members)}
-        self.starts = starts
+        self.starts = tuple(starts)
         self.maximal = maximal
         self.below = below
         self.ancestor = ancestor
@@ -229,10 +234,11 @@ class Cone:
     """An assignment of one morphism into a fixed vertex per object,
     compatible with inclusions.
 
-    Immutable: a cone holds the codes of its components at the maximal
-    objects (see ``ConeTable``), and ``component`` and ``components`` derive
-    the others by restriction; ``components`` is a read-only mapping built
-    on each access.  Cones over two separately built copies of a category
+    Immutable: a cone holds the cone table of its vertex, whose category
+    and vertex it carries, and the codes of its components at the maximal
+    objects (see ``ConeTable``); ``component`` and ``components`` derive
+    the others by restriction, and ``components`` is a read-only mapping
+    built on each access.  Cones over two separately built copies of a category
     compare and hash equal when their maximal components do; cones over
     categories of different classes never compare equal.
 
@@ -244,29 +250,27 @@ class Cone:
     ``validate_cone``.
     """
 
-    __slots__ = ("category", "vertex", "_at", "_table", "_codes", "_given")
+    __slots__ = ("category", "vertex", "_table", "_codes", "_given")
 
     def __init__(self, category: FiniteCategory, vertex, components: Mapping):
-        at = category.position(vertex)
-        for obj in components:
+        for obj in (vertex, *components):
             category.position(obj)
         table = category.cone_table(vertex)
         given = tuple([_code(table, k, components.get(obj)) for k, obj in enumerate(category.objects())])
         codes = tuple([given[k] for k in table.maximal])
         derived = all(type(c) is int for c in codes) and all(table.code_at(codes, k) == c for k, c in enumerate(given))
-        self._set(category, vertex, at, table, codes, None if derived else given)
+        self._set(table, codes, None if derived else given)
 
     @classmethod
-    def _coded(cls, category, vertex, at: int, table: ConeTable, codes: tuple) -> "Cone":
+    def _coded(cls, table: ConeTable, codes: tuple) -> "Cone":
         cone = cls.__new__(cls)
-        cone._set(category, vertex, at, table, codes, None)
+        cone._set(table, codes, None)
         return cone
 
-    def _set(self, category, vertex, at, table, codes, given):
+    def _set(self, table, codes, given):
         init = object.__setattr__
-        init(self, "category", category)
-        init(self, "vertex", vertex)
-        init(self, "_at", at)
+        init(self, "category", table.category)
+        init(self, "vertex", table.vertex)
         init(self, "_table", table)
         init(self, "_codes", codes)
         init(self, "_given", given)
@@ -365,16 +369,16 @@ class _Products:
     ``steps[v][s]`` is the step of the second cone's component with code
     ``s`` in the cone table of vertex position ``v``: the epimorphic part of
     that component, shared by every component with the same epimorphic part,
-    with its target vertex, ``products``, the code of each maximal
-    first-cone component composed with it, and ``known``, the product cone
-    for each tuple of maximal first-cone codes already multiplied.  The
-    epimorphic part's source is the first cone's vertex, so the step and
-    those codes fix the product.
+    with the cone table of its target vertex, ``products``, the code of each
+    maximal first-cone component composed with it, and ``known``, the
+    product cone for each tuple of maximal first-cone codes already
+    multiplied.  The epimorphic part's source is the first cone's vertex, so
+    the step and those codes fix the product.
 
     ``cones`` keeps one cone per cone table and tuple of maximal codes, the
-    vertex's table standing for its category and vertex position.  Seeded
-    with the cones of a build, it makes every product that lands in the
-    element set that element itself; a product outside it is built once.
+    table standing for its category and vertex.  Seeded with the cones of a
+    build, it makes every product that lands in the element set that
+    element itself; a product outside it is built once.
     """
 
     __slots__ = ("steps", "by_epi", "cones")
@@ -403,10 +407,10 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     cat = gamma.category
     if memo is None:
         memo = _Products()
-    steps = memo.steps.get(sigma._at)
+    steps = memo.steps.get(sigma._table.at)
     if steps is None:
-        steps = memo.steps[sigma._at] = {}
-    s = sigma._code_at(gamma._at)
+        steps = memo.steps[sigma._table.at] = {}
+    s = sigma._code_at(gamma._table.at)
     step = steps.get(s)
     if step is None:
         if s is None:
@@ -415,10 +419,9 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
         epi = cat.compose(q, u)
         step = memo.by_epi.get(epi)
         if step is None:
-            v = epi.target
-            step = memo.by_epi[epi] = (epi, v, cat.position(v), cat.cone_table(v), {}, {})
+            step = memo.by_epi[epi] = (epi, cat.cone_table(epi.target), {}, {})
         steps[s] = step
-    epi, vertex, at, table, products, known = step
+    epi, table, products, known = step
     product = known.get(gamma._codes)
     if product is not None:
         return product
@@ -434,7 +437,7 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     key = (table, tuple(codes))
     product = memo.cones.get(key)
     if product is None:
-        product = memo.cones[key] = Cone._coded(cat, vertex, at, table, key[1])
+        product = memo.cones[key] = Cone._coded(table, key[1])
     known[gamma._codes] = product
     return product
 
@@ -483,7 +486,6 @@ def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
     maximal objects taken in ``object_sort_key`` order.
     """
     table = category.cone_table(vertex)
-    at = category.position(vertex)
     ancestor, member = table.ancestor, table.member
     # rows[i] pairs the code of each f in hom(maximal[i], vertex) with the
     # codes of its restrictions; sets[i] / checks[i] hold the (slot, object)
@@ -503,7 +505,7 @@ def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
         if i == len(rows):
             codes = chosen + [current[k] for k in lower]
             if any(category.is_isomorphism(member(c)) for c in codes):
-                found.append(Cone._coded(category, vertex, at, table, tuple(chosen)))
+                found.append(Cone._coded(table, tuple(chosen)))
             return
         for c, row in rows[i]:
             if any(row[slot] != current[k] for slot, k in checks[i]):

@@ -88,18 +88,31 @@ def _sandwich_sets(category, e: OPMap, idempotent):
         yield c, map(elements.__getitem__, dict.fromkeys(map(column.__getitem__, left)))
 
 
-class LCategory(FiniteCategory):
+class _IdealCategory(FiniteCategory):
+    """What both ideal categories on a chain of size n share: the objects
+    ``objects(n)``, the columns of right products their hom-sets are read
+    from (see ``_sandwich_sets``), the bijections as isomorphisms and each
+    object labelled by its str."""
+
+    def __init__(self, n: int, objects):
+        self.n = check_chain_size(n)
+        super().__init__(objects(n))
+        self._columns: dict = {}
+
+    def is_isomorphism(self, f) -> bool:
+        return f.is_bijective()
+
+    def object_label(self, a) -> str:
+        return str(a)
+
+
+class LCategory(_IdealCategory):
     """The category of principal left ideals of the singular monotone maps
     on a chain of size n: proper subsets as objects, submaps as morphisms,
     hom(a, b) the canonical forms of the sandwich set e_a*S*e_b."""
 
     def __init__(self, n: int):
-        super().__init__()
-        self.n = check_chain_size(n)
-        self._columns: dict = {}
-
-    def _compute_objects(self):
-        return proper_subsets(self.n)
+        super().__init__(n, proper_subsets)
 
     def _compute_hom(self, a: Subset, b: Subset):
         """hom(a, b) as the canonical forms of the sandwich set e_a*S*e_b,
@@ -127,12 +140,9 @@ class LCategory(FiniteCategory):
     def leq(self, a: Subset, b: Subset) -> bool:
         return a.issubset(b)
 
-    def inclusion(self, a: Subset, b: Subset) -> SubMap:
-        """Carried by set inclusion; built once per pair."""
-        key = (a, b)
-        if key not in self._inclusions:
-            self._inclusions[key] = SubMap.inclusion(a, b)
-        return self._inclusions[key]
+    def _compute_inclusion(self, a: Subset, b: Subset) -> SubMap:
+        """Carried by set inclusion."""
+        return SubMap.inclusion(a, b)
 
     def retraction(self, a: Subset, b: Subset) -> SubMap:
         return retraction_for_inclusion(a, b)
@@ -143,17 +153,11 @@ class LCategory(FiniteCategory):
         inclusion."""
         return factorize_submap(f)
 
-    def is_isomorphism(self, f: SubMap) -> bool:
-        return f.is_bijective()
-
     def idempotent_cone(self, vertex: Subset) -> Cone:
         return self.principal_cone(idempotent_for_image(vertex))
 
     def object_sort_key(self, a: Subset):
         return (-len(a), a.elements)
-
-    def object_label(self, a: Subset) -> str:
-        return str(a)
 
     def morphism_label(self, f: SubMap) -> str:
         return f"rho({f.domain} -> {f.codomain}: {f})"
@@ -210,19 +214,14 @@ def factorize_pi(m: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
     return factorize_block_map(m)
 
 
-class RCategory(FiniteCategory):
+class RCategory(_IdealCategory):
     """The category of principal right ideals of the singular monotone maps
     on a chain of size n: non-identity ordered partitions as objects, block
     maps as morphisms, hom(a, b) the canonical forms of the sandwich set
     f*S*e."""
 
     def __init__(self, n: int):
-        super().__init__()
-        self.n = check_chain_size(n)
-        self._columns: dict = {}
-
-    def _compute_objects(self):
-        return ordered_partitions(self.n)
+        super().__init__(n, ordered_partitions)
 
     def _compute_hom(self, a: OrderedPartition, b: OrderedPartition):
         """hom(a, b) as the canonical forms of the sandwich set f*S*e (f, e
@@ -252,12 +251,9 @@ class RCategory(FiniteCategory):
         """a is below b exactly when b refines a."""
         return b.refines(a)
 
-    def inclusion(self, a: OrderedPartition, b: OrderedPartition) -> BlockMap:
-        """Carried by block containment of b in a; built once per pair."""
-        key = (a, b)
-        if key not in self._inclusions:
-            self._inclusions[key] = BlockMap.containment(a, b)
-        return self._inclusions[key]
+    def _compute_inclusion(self, a: OrderedPartition, b: OrderedPartition) -> BlockMap:
+        """Carried by block containment of b in a."""
+        return BlockMap.containment(a, b)
 
     def retraction(self, a: OrderedPartition, b: OrderedPartition) -> BlockMap:
         """Picks for each block of a the block of b holding its minimum;
@@ -269,17 +265,11 @@ class RCategory(FiniteCategory):
     def normal_factorize(self, m: BlockMap):
         return factorize_pi(m)
 
-    def is_isomorphism(self, m: BlockMap) -> bool:
-        return m.is_bijective()
-
     def idempotent_cone(self, vertex: OrderedPartition) -> Cone:
         return self.dual_principal_cone(idempotent_for_kernel(vertex))
 
     def object_sort_key(self, a: OrderedPartition):
         return (-a.num_blocks, a.block_sizes)
-
-    def object_label(self, a: OrderedPartition) -> str:
-        return str(a)
 
     def morphism_label(self, m: BlockMap) -> str:
         return f"lambda({m.source} -> {m.target}: {m})"

@@ -585,7 +585,7 @@ class TestSubsetPartition:
         assert OrderedPartition(4, (2, 2)).refines(OrderedPartition(4, (2, 2)))
 
 
-_A, _P = Subset(3, (1, 2)), OrderedPartition(3, (2, 1))
+_A, _P, _F = Subset(3, (1, 2)), OrderedPartition(3, (2, 1)), OPMap((1, 1, 2))
 
 # Each public entry point that takes a carrier value, with the class it
 # takes there.
@@ -600,6 +600,19 @@ CARRIER_ARGUMENTS = {
     "BlockMap.identity": (OrderedPartition, lambda x: BlockMap.identity(x)),
     "idempotent_for_image": (Subset, lambda x: idempotent_for_image(x)),
     "idempotent_for_kernel": (OrderedPartition, lambda x: idempotent_for_kernel(x)),
+    "SubMap.inclusion": (Subset, lambda x: SubMap.inclusion(x, _A)),
+    "retraction_for_inclusion": (Subset, lambda x: retraction_for_inclusion(x, _A)),
+    "BlockMap.containment": (OrderedPartition, lambda x: BlockMap.containment(_P, x)),
+    "restrict": (OPMap, lambda x: restrict(x, _A, _A)),
+    "restrict-domain": (Subset, lambda x: restrict(_F, x, _A)),
+    "restrict-codomain": (Subset, lambda x: restrict(_F, _A, x)),
+    "submaps_between": (Subset, lambda x: submaps_between(x, _A)),
+    "submaps_between-target": (Subset, lambda x: submaps_between(_A, x)),
+    "block_maps_between": (OrderedPartition, lambda x: block_maps_between(x, _P)),
+    "block_maps_between-target": (OrderedPartition, lambda x: block_maps_between(_P, x)),
+    "extend_by_idempotent": (SubMap, lambda x: extend_by_idempotent(x)),
+    "green": (OPMap, lambda x: green(x, _F, "L")),
+    "green-second": (OPMap, lambda x: green(_F, x, "L")),
 }
 
 

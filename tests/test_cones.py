@@ -130,6 +130,23 @@ def test_hom_and_cone_table_reject_non_objects(category):
     assert cat.hom(obj, obj) and enumerate_normal_cones(cat, obj)
 
 
+@pytest.mark.parametrize("category", [LCategory, PowersetCategory, RCategory, PartitionCategory])
+def test_tables_cones_and_inclusions_have_one_owner(category):
+    """Each cone table knows its vertex and the vertex's position, every
+    cone carries its table's category and vertex, and each designated
+    inclusion is built once per pair."""
+    cat = category(3)
+    for k, vertex in enumerate(cat.objects()):
+        table = cat.cone_table(vertex)
+        assert table.category is cat and table.vertex == vertex and table.at == k == cat.position(vertex)
+        for cone in enumerate_normal_cones(cat, vertex) + [cat.idempotent_cone(vertex)]:
+            assert cone._table is table and cone.category is table.category and cone.vertex is table.vertex
+    for a in cat.objects():
+        for b in cat.objects():
+            if cat.leq(a, b):
+                assert cat.inclusion(a, b) is cat.inclusion(a, b)
+
+
 class TestMSet:
     def test_kernel_cross_sections(self, lcat3):
         ms = mset(lcat3.principal_cone(OPMap((1, 1, 2))))

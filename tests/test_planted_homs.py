@@ -79,7 +79,8 @@ SHARED = (
     "retraction",
     "normal_factorize",
     "is_isomorphism",
-    "_compute_objects",
+    "_compute_inclusion",
+    "__init__",
 )
 
 

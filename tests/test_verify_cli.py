@@ -182,6 +182,44 @@ class TestFaultInjection:
             "morphism": label,
         }
 
+    @pytest.mark.parametrize(
+        "check,builder,base",
+        [
+            ("factorize-L", "left_category", LCategory),
+            ("factorize-L", "right_category", RCategory),
+            ("factorize-Po", "powerset_category", PowersetCategory),
+            ("factorize-Pi", "partition_category", PartitionCategory),
+        ],
+        ids=["L", "R", "Po", "Pi"],
+    )
+    def test_wrong_inclusion_fails_the_axioms(self, fresh_builds, monkeypatch, check, builder, base):
+        """One designated inclusion planted wrong, through the one hook each
+        carrier supplies: {1} -> {1,2} sending 1 to 2, or (3,2) -> (1,2,2)
+        sending the last block to the last block.  Composed with the next
+        inclusion up it misses the inclusion across both, at n=5 for every
+        carrier."""
+        if issubclass(base, LCategory):
+            pair, wrong, labels = (Subset(5, (1,)), Subset(5, (1, 2))), (2,), ["{1}", "{1,2}", "{1,2,3}"]
+        else:
+            pair = (OrderedPartition(5, (3, 2)), OrderedPartition(5, (1, 2, 2)))
+            wrong, labels = (0, 1, 1), ["(3,2)", "(1,2,2)", "(1,1,1,2)"]
+
+        class Planted(base):
+            def _compute_inclusion(self, a, b):
+                j = super()._compute_inclusion(a, b)
+                return type(j)(a, b, wrong) if (a, b) == pair else j
+
+        planted = Planted(5)
+        assert planted.inclusion(*pair) is planted.inclusion(*pair) != base(5).inclusion(*pair)
+        monkeypatch.setattr(verify, builder, lambda n: planted)
+        report = run_check(check, 5)
+        assert report.status == "fail"
+        assert report.witness == {
+            "category": {LCategory: "L", RCategory: "R", PowersetCategory: "Po", PartitionCategory: "Pi"}[base],
+            "axiom": "inclusion-composition",
+            "chain": labels,
+        }
+
     def test_wrong_image_absorption_fails_only_the_oracle(self, fresh_builds, monkeypatch):
         """A factorization through the other absorption, each unhit source
         block joining the hit block before it (leading ones the first),
