@@ -11,10 +11,11 @@ public boundary must have exactly its class, by one check, ``_check_type``.
 The hot paths ``compose``, both ``then`` methods, ``image``, ``kernel``,
 ``green_class``, ``factorize_submap`` and ``factorize_block_map`` trust
 their arguments instead.  Values the library builds from valid ones
-(composites, images, kernels, factors, enumerated hom-sets) go through the
-one trusted constructor, ``_TupleValue._trusted``, and skip the check;
-subsets and partitions built that way go through ``Subset._shared`` and
-``OrderedPartition._shared``, which keep one instance per value."""
+(composites, images, kernels, factors, enumerated hom-sets, the maps of
+``enumerate_oxn``) go through the one trusted constructor,
+``_TupleValue._trusted``, and skip the check; subsets and partitions built
+that way go through ``Subset._shared`` and ``OrderedPartition._shared``,
+which keep one instance per value."""
 
 from __future__ import annotations
 
@@ -529,11 +530,13 @@ def green(f: OPMap, g: OPMap, relation: str) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_oxn(n: int) -> tuple[OPMap, ...]:
-    """All non-identity order-preserving self-maps of 1..n, lexicographically."""
+    """All non-identity order-preserving self-maps of 1..n, lexicographically.
+    Built trusted: the tuples ``combinations_with_replacement`` yields are
+    monotone and in range."""
     check_chain_size(n)
     identity = tuple(range(1, n + 1))
     return tuple(
-        OPMap(seq)
+        OPMap._trusted(seq)
         for seq in combinations_with_replacement(range(1, n + 1), n)
         if seq != identity
     )

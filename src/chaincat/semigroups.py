@@ -43,6 +43,7 @@ class FiniteSemigroup:
 
     def __post_init__(self):
         self._green_labels: dict = {}
+        self._stages: list | None = None  # _generator_stages, once computed
 
     @property
     def order(self) -> int:
@@ -66,15 +67,12 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
     """Tabulate a multiplication and verify closure and associativity.
 
     Associativity is checked on every triple up to EXHAUSTIVE_ASSOC_LIMIT
-    elements and on SAMPLED_ASSOC_TRIPLES random triples, drawn from a
-    fixed seed, beyond that.  The draws are the ones ``randrange(m)`` makes
-    on ``random.Random(0)``: ``m.bit_length()`` random bits, redrawn while
-    the value is not below m.
-
-    The exhaustive check compares whole rows: for each pair (i, j) the row
-    of i*j must equal row i read through row j, ``(i*j)*k = i*(j*k)`` for
-    every k at once.  A mismatching row is scanned for its first k, so the
-    witness is the first failing triple in (i, j, k) order.
+    elements, by Light's test (see ``_check_associative``), and on
+    SAMPLED_ASSOC_TRIPLES random triples, drawn from a fixed seed, beyond
+    that.  The draws are the ones ``randrange(m)`` makes on
+    ``random.Random(0)``: ``m.bit_length()`` random bits, redrawn while the
+    value is not below m.  An exhaustive failure names the first failing
+    triple in (i, j, k) order.
     """
     elements = list(elements)
     index: dict = {}
@@ -93,14 +91,15 @@ def build(elements: Sequence, mul_fn: Callable) -> FiniteSemigroup:
                 raise ClosureError(a, b, p)
             row.append(k)
         table.append(row)
+    s = FiniteSemigroup(elements, table, index)
     if m <= EXHAUSTIVE_ASSOC_LIMIT:
-        _check_rows_associative(elements, table)
+        _check_associative(s)
     else:
         draws = filter(m.__gt__, map(random.Random(0).getrandbits, repeat(m.bit_length())))
         for i, j, k in islice(zip(draws, draws, draws), SAMPLED_ASSOC_TRIPLES):
             if table[table[i][j]][k] != table[i][table[j][k]]:
                 raise AssociativityError(elements[i], elements[j], elements[k])
-    return FiniteSemigroup(elements, table, index)
+    return s
 
 
 def _reader(positions: Sequence[int]):
@@ -111,6 +110,28 @@ def _reader(positions: Sequence[int]):
         (k,) = positions
         return lambda seq: (seq[k],)
     return itemgetter(*positions)
+
+
+def _check_associative(s: FiniteSemigroup) -> None:
+    """Light's test on the generators G of ``_generator_stages(s)``: for each
+    g in G and each x, the row of x*g must equal row x read through row g,
+    ``(x*g)*y = x*(g*y)`` for every y at once, m*|G| row comparisons in all.
+    On a failure the table is scanned by ``_check_rows_associative``, which
+    raises at the first failing triple in (i, j, k) order.
+
+    This is exhaustive.  The elements a with ``(x*a)*y = x*(a*y)`` for all x
+    and y are closed under products: for two of them a and b,
+    ``(x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y)``.
+    They contain G, and every element is g*h1*...*hk, bracketed from the
+    left, for a g and hi in G, since every element the stages do not reach
+    becomes a generator; so they are all of s.
+    """
+    rows = [tuple(row) for row in s.table]
+    for g, _ in _generator_stages(s):
+        through = _reader(rows[g])
+        for row in rows:
+            if through(row) != rows[row[g]]:  # a failing triple, so the scan raises
+                _check_rows_associative(s.elements, s.table)
 
 
 def _check_rows_associative(elements: list, table: list[list[int]]) -> None:
@@ -241,7 +262,10 @@ def _generator_stages(s: FiniteSemigroup) -> list[tuple[int, list[tuple[int, int
     """A greedy generating set, largest image |aS| first, one stage per
     generator g: g and a triple (x, parent, h), x = parent*h, h a generator,
     for each element g makes newly reachable.  Each stage closes the reached
-    set under right products by all generators so far: O(m*|gens|) reads."""
+    set under right products by all generators so far: O(m*|gens|) reads.
+    Computed once per semigroup and cached on it."""
+    if s._stages is not None:
+        return s._stages
     reached = [False] * s.order
     gens: list[int] = []
     placed: list[int] = []  # reached elements, in the order they were reached
@@ -259,6 +283,7 @@ def _generator_stages(s: FiniteSemigroup) -> list[tuple[int, list[tuple[int, int
                     placed.append(x)
                     derived.append((x, parent, h))
             stages.append((g, derived))
+    s._stages = stages
     return stages
 
 

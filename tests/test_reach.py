@@ -37,9 +37,9 @@ UNREACHED = {
     "chain.green",
     "cones.mset",
     "powerset.cone_to_opmap",
-    # failure path only: entered when a check fails, a build raises, a
-    # cone or carrier value is mutated or a value is added or repeated
-    # like a tuple
+    # failure path only: entered when a check fails, a build raises (the
+    # row scan runs only once Light's test has failed), a cone or carrier
+    # value is mutated or a value is added or repeated like a tuple
     "chain._TupleValue.__add__",
     "chain._TupleValue.__delattr__",
     "chain._TupleValue.__mul__",
@@ -50,6 +50,7 @@ UNREACHED = {
     "cones.cone_json",
     "semigroups.AssociativityError.__init__",
     "semigroups.ClosureError.__init__",
+    "semigroups._check_rows_associative",
     "verify._build_error_elements",
     # boundary-only validation: every map the library builds is built
     # trusted, so only values from outside reach these

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaincat.chain import OPMap, compose, enumerate_oxn, green
 from chaincat.semigroups import (
@@ -13,6 +14,7 @@ from chaincat.semigroups import (
     SAMPLED_ASSOC_TRIPLES,
     ElementMap,
     FiniteSemigroup,
+    _generator_stages,
     build,
     find_isomorphism,
     green_oracle,
@@ -91,6 +93,131 @@ def test_exhaustive_associativity_names_the_first_failing_triple(m, mul, expecte
     with pytest.raises(AssociativityError) as info:
         build(range(m), mul)
     assert info.value.witness == expected
+
+
+# Associative multiplications on range(m), for any m.
+_ASSOCIATIVE = {
+    "cyclic-group": lambda m, x, y: (x + y) % m,
+    "truncated-sum": lambda m, x, y: min(x + y, m - 1),
+    "max": lambda m, x, y: max(x, y),
+    "min": lambda m, x, y: min(x, y),
+    "left-zero": lambda m, x, y: x,
+    "right-zero": lambda m, x, y: y,
+    "null": lambda m, x, y: 0,
+}
+
+
+@st.composite
+def closed_tables(draw):
+    """A closed table on 1 to 5 elements: either drawn entry by entry, or a
+    relabelled associative one with up to two entries redrawn."""
+    m = draw(st.integers(1, 5))
+    points = st.integers(0, m - 1)
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(points, min_size=m, max_size=m), min_size=m, max_size=m))
+    mul = _ASSOCIATIVE[draw(st.sampled_from(sorted(_ASSOCIATIVE)))]
+    label = draw(st.permutations(range(m)))
+    table = [[0] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            table[label[x]][label[y]] = label[mul(m, x, y)]
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(points)][draw(points)] = draw(points)
+    return table
+
+
+@settings(max_examples=500, deadline=None)
+@given(closed_tables())
+def test_build_raises_exactly_on_the_first_failing_triple(table):
+    m = len(table)
+    expected = _first_nonassociative_triple(m, lambda x, y: table[x][y])
+    if expected is None:
+        assert build(range(m), lambda x, y: table[x][y]).table == table
+    else:
+        with pytest.raises(AssociativityError) as info:
+            build(range(m), lambda x, y: table[x][y])
+        assert info.value.witness == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_planted_defect_off_the_generators_is_caught(n):
+    # Move one product a*b of OX_n, a and b generators neither of the true
+    # table nor of the planted one, so that Light's test can catch it only
+    # through the rows it reads, never at a row or column of its own.
+    s = oxn_semigroup(n)
+    rng = random.Random(n)
+    gens = {g for g, _ in _generator_stages(s)}
+    plain = [a for a in range(s.order) if a not in gens]
+    caught = 0
+    while caught < 5:
+        i, j = rng.choice(plain), rng.choice(plain)
+        v = rng.choice([v for v in range(s.order) if v != s.table[i][j]])
+        table = [list(row) for row in s.table]
+        table[i][j] = v
+        if {i, j} & {g for g, _ in _generator_stages(FiniteSemigroup(s.elements, table, s.index))}:
+            continue
+        a, b, p = s.elements[i], s.elements[j], s.elements[v]
+
+        def mul(x, y):
+            return p if (x, y) == (a, b) else compose(x, y)
+
+        with pytest.raises(AssociativityError) as info:
+            build(s.elements, mul)
+        x, y, z = info.value.witness
+        assert mul(mul(x, y), z) != mul(x, mul(y, z))
+        if n == 4:
+            first = _first_nonassociative_triple(s.order, lambda k, l: table[k][l])
+            assert info.value.witness == tuple(s.elements[k] for k in first)
+        caught += 1
+
+
+def _reached_by_hand(table, gens) -> set:
+    """The closure of gens under right products by gens."""
+    reached, todo = set(gens), list(gens)
+    while todo:
+        x = todo.pop()
+        for h in gens:
+            y = table[x][h]
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
+@pytest.mark.parametrize(
+    "make,size",
+    [
+        (lambda: oxn_semigroup(3), 5),
+        (lambda: oxn_semigroup(4), 9),
+        (lambda: oxn_semigroup(5), 14),
+        (lambda: tl_semigroup(4), None),
+        (lambda: opposite(oxn_semigroup(4)), None),
+        # closed but not associative: x*y = 1-y
+        (lambda: FiniteSemigroup([0, 1], [[1, 0], [1, 0]], {0: 0, 1: 1}), None),
+    ],
+    ids=["ox3", "ox4", "ox5", "tl4", "ox4-opposite", "not-associative"],
+)
+def test_light_generators_reach_every_element(make, size):
+    s = make()
+    stages = _generator_stages(s)
+    gens = [g for g, _ in stages]
+    assert _reached_by_hand(s.table, gens) == set(range(s.order))
+    placed: list = []
+    for count, (g, derived) in enumerate(stages, 1):
+        placed.append(g)
+        for x, parent, h in derived:
+            assert s.table[parent][h] == x and parent in placed and h in gens[:count]
+            placed.append(x)
+    assert sorted(placed) == list(range(s.order))
+    assert size is None or len(gens) == size
+    assert _generator_stages(s) is stages
+
+
+def test_build_leaves_its_light_generators_for_the_isomorphism_search():
+    s = build(enumerate_oxn(4), compose)
+    stages = s._stages
+    assert stages is not None and _generator_stages(s) is stages
+    assert find_isomorphism(s, oxn_semigroup(4)) is not None and s._stages is stages
 
 
 def _reference_triples(m):

@@ -30,6 +30,7 @@ from chaincat.chain import (
     image,
     kernel,
     ordered_partitions,
+    oxn_order,
     proper_subsets,
     separator_idempotent,
     submaps_between,
@@ -128,6 +129,17 @@ def test_idempotents_equal_validated_maps():
         for x in range(1, n):
             e = separator_idempotent(x, n)
             assert e == _rebuilt(e) and e.is_idempotent()
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_enumerated_oxn_equals_validated_maps(n):
+    maps = enumerate_oxn(n)
+    for f in maps:
+        checked = _rebuilt(f)
+        assert type(f) is OPMap
+        assert f == checked and hash(f) == hash(checked)
+    assert OPMap.identity(n) not in maps
+    assert list(maps) == sorted(set(maps)) and len(maps) == oxn_order(n)
 
 
 def test_enumerated_maps_and_submap_factors_equal_validated_ones():
