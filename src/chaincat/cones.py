@@ -543,6 +543,23 @@ def check_normal_category_axioms(category: FiniteCategory, on_factorization=None
     f is factorized once; ``on_factorization(f, q, u, j)``, when given, is
     called with every factorization that passes, so a caller can compare
     it with something else without factorizing again.
+
+    Many morphisms share a factor, so each distinct factor value is
+    checked once: the subobject test, hom-set membership and
+    ``inclusion(c1, a)·q = 1_{c1}`` per retraction q; membership and
+    ``is_isomorphism`` per u; the subobject test, membership and
+    ``j = inclusion(d1, b)`` per inclusion j.  Each of these reads only the
+    factor value, whose source and target the shape check has tied to a,
+    c1, d1 and b, so a factor that passed once passes wherever it recurs,
+    and the pass stays exhaustive.  q·u is composed once per (q, u) pair;
+    the shape check, the recomposition (q·u)·j = f and the callback run for
+    every morphism.  Each morphism's checks keep one order (shape,
+    subobjects, membership of q, u and j, retraction, isomorphism,
+    inclusion, recomposition), and a skipped check is one that passed
+    before, so the first failing morphism and its axiom are those of a pass
+    that checks every factor every time.  The memo lives for one call, and
+    its retractions and (q, u) pairs only while the source object a stays
+    the same: q starts at a, so none of them recurs for another a.
     Returns (ok, counts, witness).
     """
     objs = category.objects()
@@ -592,7 +609,9 @@ def check_normal_category_axioms(category: FiniteCategory, on_factorization=None
                 "inclusion-splits",
                 pair=[category.object_label(a), category.object_label(b)],
             )
+    isomorphisms, inclusions = set(), set()
     for a in objs:
+        retractions, through = set(), {}
         for b in objs:
             for f in category.hom(a, b):
                 counts["morphisms"] += 1
@@ -600,21 +619,31 @@ def check_normal_category_axioms(category: FiniteCategory, on_factorization=None
                 c1, d1 = q.target, u.target
                 if q.source != a or u.source != c1 or j.source != d1 or j.target != b:
                     return fail("factorization-shape", morphism=category.morphism_label(f))
-                if not (category.leq(c1, a) and category.leq(d1, b)):
+                new_q, new_u, new_j = q not in retractions, u not in isomorphisms, j not in inclusions
+                if (new_q and not category.leq(c1, a)) or (new_j and not category.leq(d1, b)):
                     return fail("factorization-subobjects", morphism=category.morphism_label(f))
                 if (
-                    q not in category.hom(a, c1)
-                    or u not in category.hom(c1, d1)
-                    or j not in category.hom(d1, b)
+                    (new_q and q not in category.hom(a, c1))
+                    or (new_u and u not in category.hom(c1, d1))
+                    or (new_j and j not in category.hom(d1, b))
                 ):
                     return fail("factorization-membership", morphism=category.morphism_label(f))
-                if category.compose(category.inclusion(c1, a), q) != category.identity(c1):
-                    return fail("factorization-retraction", morphism=category.morphism_label(f))
-                if not category.is_isomorphism(u):
-                    return fail("factorization-isomorphism", morphism=category.morphism_label(f))
-                if j != category.inclusion(d1, b):
-                    return fail("factorization-inclusion", morphism=category.morphism_label(f))
-                if category.compose(category.compose(q, u), j) != f:
+                if new_q:
+                    if category.compose(category.inclusion(c1, a), q) != category.identity(c1):
+                        return fail("factorization-retraction", morphism=category.morphism_label(f))
+                    retractions.add(q)
+                if new_u:
+                    if not category.is_isomorphism(u):
+                        return fail("factorization-isomorphism", morphism=category.morphism_label(f))
+                    isomorphisms.add(u)
+                if new_j:
+                    if j != category.inclusion(d1, b):
+                        return fail("factorization-inclusion", morphism=category.morphism_label(f))
+                    inclusions.add(j)
+                qu = through.get((q, u))
+                if qu is None:
+                    qu = through[q, u] = category.compose(q, u)
+                if category.compose(qu, j) != f:
                     return fail("factorization-recompose", morphism=category.morphism_label(f))
                 if on_factorization is not None:
                     on_factorization(f, q, u, j)

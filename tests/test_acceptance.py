@@ -98,7 +98,7 @@ def test_criterion_06_category_isomorphisms():
 
 
 def test_criterion_07_partition_factorization():
-    ok, detail, elapsed = _run("factorize-Pi", (3, 4, 5, 6))
+    ok, detail, elapsed = _run("factorize-Pi", (3, 4, 5, 6, 7))
     _line("7-partition-factorization", ok, detail, elapsed)
     assert ok
     assert elapsed < 120_000

@@ -13,6 +13,7 @@ import tracemalloc
 from itertools import groupby
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chaincat.chain import (
     BlockMap,
@@ -287,3 +288,25 @@ def test_factorization_oracles_share_no_code_with_the_factorization(oracle):
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     forbidden = {"_runs", "_cut_after", "_trusted", "_shared", "factorize_block_map", "factorize_pi"}
     assert not named & forbidden
+
+
+@st.composite
+def partition_morphisms(draw, min_n=3, max_n=7):
+    """A block map between two non-identity ordered partitions of one chain
+    on 3..7 points: a morphism of Pi(n)."""
+    n = draw(st.integers(min_n, max_n))
+
+    def partition():
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 2)))
+        return OrderedPartition(n, tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+
+    source, target = partition(), partition()
+    images = draw(st.lists(st.integers(0, source.num_blocks - 1), min_size=target.num_blocks, max_size=target.num_blocks))
+    return BlockMap(source, target, tuple(sorted(images)))
+
+
+@given(partition_morphisms())
+def test_sigma_oracle_reads_each_point_as_block_of_does(m):
+    """The fiber coarsening read point by point through ``block_of``."""
+    cls = [m.images[m.target.block_of(x)] for x in range(1, m.target.n + 1)]
+    assert _sigma_oracle(m).block_sizes == tuple(len(list(run)) for _, run in groupby(cls))
