@@ -15,7 +15,11 @@ their arguments instead.  Values the library builds from valid ones
 ``enumerate_oxn``) go through the one trusted constructor,
 ``_TupleValue._trusted``, and skip the check; subsets and partitions built
 that way go through ``Subset._shared`` and ``OrderedPartition._shared``,
-which keep one instance per value."""
+which keep one instance per value.  Likewise ``compose`` returns the
+instance ``enumerate_oxn`` built when the composite is one of its maps, so
+a product reuses that map's cached image and kernel; only a product no
+enumeration has made (the identity, or a map of a chain size not yet
+enumerated) is a fresh value."""
 
 from __future__ import annotations
 
@@ -480,7 +484,8 @@ def compose(f: OPMap, g: OPMap) -> OPMap:
     """Left-to-right composition: apply f, then g.
 
     A composite of two monotone maps of one chain is monotone with values in
-    range, so it is built without validation.
+    range, so it is built without validation.  When it is one of the maps
+    ``enumerate_oxn`` has built, that instance is returned.
     """
     fi, gi = f.images, g.images
     if len(fi) != len(gi):
@@ -489,8 +494,9 @@ def compose(f: OPMap, g: OPMap) -> OPMap:
         return g
     # itemgetter reads the values 1-based from g's images behind a pad slot;
     # with one index it would return a bare value, hence the case above.
-    # This is OPMap._trusted inline, saving a Python frame on each product.
-    return tuple.__new__(OPMap, (itemgetter(*fi)((0,) + gi),))
+    # The fresh value is OPMap._trusted inline, saving a Python frame.
+    images = itemgetter(*fi)((0,) + gi)
+    return _ENUMERATED.get(images) or tuple.__new__(OPMap, (images,))
 
 
 def image(f: OPMap) -> Subset:
@@ -528,18 +534,25 @@ def green(f: OPMap, g: OPMap, relation: str) -> bool:
     return green_class(f, relation) == green_class(g, relation)
 
 
+# Every map enumerate_oxn has built, keyed by its images, for compose to
+# return in place of an equal fresh value.
+_ENUMERATED: dict[tuple[int, ...], OPMap] = {}
+
+
 @lru_cache(maxsize=None)
 def enumerate_oxn(n: int) -> tuple[OPMap, ...]:
     """All non-identity order-preserving self-maps of 1..n, lexicographically.
     Built trusted: the tuples ``combinations_with_replacement`` yields are
-    monotone and in range."""
+    monotone and in range.  Each map is recorded for ``compose`` to share."""
     check_chain_size(n)
     identity = tuple(range(1, n + 1))
-    return tuple(
+    maps = tuple(
         OPMap._trusted(seq)
         for seq in combinations_with_replacement(range(1, n + 1), n)
         if seq != identity
     )
+    _ENUMERATED.update((f.images, f) for f in maps)
+    return maps
 
 
 def oxn_order(n: int) -> int:

@@ -42,7 +42,7 @@ def test_criterion_01_cardinalities():
 
 
 def test_criterion_02_green_relations_vs_ideal_oracle():
-    ok, detail, elapsed = _run("green", (3, 4, 5))
+    ok, detail, elapsed = _run("green", (3, 4, 5, 6))
     _line("2-green-relations", ok, detail, elapsed)
     assert ok
     assert elapsed < 30_000
@@ -80,8 +80,8 @@ def test_criterion_04_all_normal_cones_principal():
 
 
 def test_criterion_05_cone_semigroups_isomorphic():
-    ok_tl, detail_tl, t1 = _run("TL-iso", (3, 4, 5))
-    ok_tpo, detail_tpo, t2 = _run("TPo-iso", (3, 4, 5))
+    ok_tl, detail_tl, t1 = _run("TL-iso", (3, 4, 5, 6))
+    ok_tpo, detail_tpo, t2 = _run("TPo-iso", (3, 4, 5, 6))
     ok = ok_tl and ok_tpo
     _line("5-cone-semigroup-isomorphisms", ok, f"{detail_tl} | {detail_tpo}", t1 + t2)
     assert ok

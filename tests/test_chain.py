@@ -1,9 +1,14 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import chaincat
 from chaincat.chain import (
     BlockMap,
     OPMap,
@@ -393,6 +398,61 @@ class TestEnumeration:
         assert len(ordered_partitions(3)) == 3
         assert len(ordered_partitions(4)) == 7
         assert OrderedPartition.identity(4) not in ordered_partitions(4)
+
+
+# Composes every pair of maps of a chain size the process has never
+# enumerated, checks each composite pointwise and as a fresh valid value,
+# then enumerates that size and checks the composites are shared from then on.
+_NEVER_ENUMERATED = """
+from itertools import combinations_with_replacement
+from chaincat import chain
+from chaincat.chain import OPMap, compose, enumerate_oxn
+
+n = 5
+assert not any(len(images) == n for images in chain._ENUMERATED)
+maps = [OPMap(seq) for seq in combinations_with_replacement(range(1, n + 1), n)]
+for f in maps:
+    for g in maps:
+        h = compose(f, g)
+        assert type(h) is OPMap and h.images == tuple(g(f(x)) for x in range(1, n + 1))
+        assert OPMap(h.images) == h and all(h is not k for k in maps)
+ox = enumerate_oxn(n)
+shared = {f.images: f for f in ox}
+assert all(compose(f, g) is shared[compose(f, g).images] for f in ox for g in ox)
+print("ok")
+"""
+
+
+class TestSharedComposites:
+    """``compose`` returns the map ``enumerate_oxn`` built when the composite
+    is one of its maps, and a fresh value otherwise."""
+
+    def test_every_product_in_ox4_is_the_enumerated_instance(self):
+        maps = enumerate_oxn(4)
+        by_images = {f.images: f for f in maps}
+        for f in maps:
+            for g in maps:
+                h = compose(f, g)
+                assert h is by_images[h.images]
+                assert h.images == tuple(g(f(x)) for x in range(1, 5))
+
+    def test_identity_composite_is_fresh_and_valid(self):
+        enumerate_oxn(4)
+        e = OPMap.identity(4)
+        h = compose(e, e)
+        assert type(h) is OPMap and h is not e and h == e == OPMap(h.images)
+        assert h not in enumerate_oxn(4) and image(h) == Subset.of(4, (1, 2, 3, 4))
+
+    def test_a_size_never_enumerated_composes_correctly(self):
+        # The shared maps live in one dict per process, so the size must be
+        # one this process has never enumerated: a fresh interpreter.
+        src = str(Path(chaincat.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NEVER_ENUMERATED], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 class TestIdempotentForImage:

@@ -14,6 +14,7 @@ from chaincat.semigroups import (
     SAMPLED_ASSOC_TRIPLES,
     ElementMap,
     FiniteSemigroup,
+    _check_rows_associative,
     _generator_stages,
     build,
     find_isomorphism,
@@ -139,11 +140,12 @@ def test_build_raises_exactly_on_the_first_failing_triple(table):
         assert info.value.witness == expected
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_planted_defect_off_the_generators_is_caught(n):
     # Move one product a*b of OX_n, a and b generators neither of the true
     # table nor of the planted one, so that Light's test can catch it only
-    # through the rows it reads, never at a row or column of its own.
+    # through the rows it reads, never at a row or column of its own.  At
+    # n = 6 the table has 461 elements, all below the exhaustive limit.
     s = oxn_semigroup(n)
     rng = random.Random(n)
     gens = {g for g, _ in _generator_stages(s)}
@@ -168,6 +170,10 @@ def test_planted_defect_off_the_generators_is_caught(n):
         if n == 4:
             first = _first_nonassociative_triple(s.order, lambda k, l: table[k][l])
             assert info.value.witness == tuple(s.elements[k] for k in first)
+        else:  # the pair scan names the first failing triple in (i, j, k) order
+            with pytest.raises(AssociativityError) as scan:
+                _check_rows_associative(s.elements, table)
+            assert info.value.witness == scan.value.witness
         caught += 1
 
 
@@ -187,9 +193,9 @@ def _reached_by_hand(table, gens) -> set:
 @pytest.mark.parametrize(
     "make,size",
     [
-        (lambda: oxn_semigroup(3), 5),
-        (lambda: oxn_semigroup(4), 9),
-        (lambda: oxn_semigroup(5), 14),
+        (lambda: oxn_semigroup(3), 4),
+        (lambda: oxn_semigroup(4), 6),
+        (lambda: oxn_semigroup(5), 8),
         (lambda: tl_semigroup(4), None),
         (lambda: opposite(oxn_semigroup(4)), None),
         # closed but not associative: x*y = 1-y
@@ -211,6 +217,16 @@ def test_light_generators_reach_every_element(make, size):
     assert sorted(placed) == list(range(s.order))
     assert size is None or len(gens) == size
     assert _generator_stages(s) is stages
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_oxn_greedy_generators_are_the_top_idempotents(n):
+    # The 2(n-1) idempotents of rank n-1 generate OX_n (Howie 1971); taking
+    # idempotents first among equal |aS|, the greedy set is exactly them.
+    s = oxn_semigroup(n)
+    top = {f for f in s.elements if f.rank() == n - 1 and compose(f, f) == f}
+    assert len(top) == 2 * (n - 1)
+    assert {s.elements[g] for g, _ in _generator_stages(s)} == top
 
 
 def test_build_leaves_its_light_generators_for_the_isomorphism_search():

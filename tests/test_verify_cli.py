@@ -61,13 +61,13 @@ class TestRunner:
         assert len(reports) == len(CHECKS)
 
     def test_run_all_caps_a_check_past_its_maximum(self, monkeypatch):
-        # every registered maximum is at least 5, so n=6 caps green at 5;
-        # two cheap checks keep the run short
+        # counts runs to 7 and green to 6, so n=7 caps green at 6; two
+        # cheap checks keep the run short
         monkeypatch.setattr(verify, "CHECKS", {name: CHECKS[name] for name in ("counts", "green")})
-        reports = run_all(6)
-        assert [(r.check, r.n) for r in reports] == [("counts", 6), ("green", 5)]
+        reports = run_all(7)
+        assert [(r.check, r.n) for r in reports] == [("counts", 7), ("green", 6)]
         assert "capped_from" not in reports[0].counts
-        assert reports[1].counts["capped_from"] == 6
+        assert reports[1].counts["capped_from"] == 7
         assert all(r.status == "pass" for r in reports)
 
     def test_report_dict_schema(self):
