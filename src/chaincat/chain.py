@@ -234,7 +234,10 @@ class Subset(_TupleValue, namedtuple("Subset", "n elements")):
 
     @classmethod
     def of(cls, n: int, elements) -> Subset:
-        return cls(n, tuple(sorted(set(elements))))
+        """The subset of the given points, in any order; entries are sorted
+        only when all are ints, so that the entry check names any other."""
+        elements = tuple(elements)
+        return cls(n, tuple(sorted(set(elements))) if all(type(x) is int for x in elements) else elements)
 
     @classmethod
     def full(cls, n: int) -> Subset:

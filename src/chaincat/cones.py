@@ -24,8 +24,10 @@ class FiniteCategory(ABC):
 
     Morphism values must be hashable and expose ``source`` and ``target``
     attributes naming objects of the category.  The objects are fixed at
-    construction; hom-sets, designated inclusions and cone tables are
-    computed on first use and cached on the instance.
+    construction; hom-sets, designated inclusions, the subobject order and
+    cone tables are computed on first use and cached on the instance.  The
+    order is stated once, by ``leq``, and read off it once (see
+    ``_subobject_order``).
     """
 
     def __init__(self, objects):
@@ -33,7 +35,7 @@ class FiniteCategory(ABC):
         self._positions = {a: k for k, a in enumerate(self._objects)}
         self._hom_cache: dict = {}
         self._inclusions: dict = {}
-        self._cone_frame: tuple | None = None
+        self._order: tuple | None = None
         self._cone_tables: dict = {}
 
     # -- enumeration ------------------------------------------------------
@@ -60,46 +62,43 @@ class FiniteCategory(ABC):
 
     def subobject_pairs(self) -> list:
         """All ordered pairs (a, b) of distinct objects with a below b."""
-        objs = self.objects()
-        return [(a, b) for a in objs for b in objs if a != b and self.leq(a, b)]
+        objs = self._objects
+        return [(objs[k], objs[m]) for k, ups in enumerate(self._subobject_order()[0]) for m in ups]
 
     def cone_table(self, vertex) -> "ConeTable":
         """The coding of the cones with the given vertex (see ``ConeTable``),
-        built on first use; the maximal objects and their inclusions are
-        found once and shared by every vertex.  ValueError for a vertex
-        that is not an object."""
+        built on first use.  ValueError for a vertex that is not an
+        object."""
         table = self._cone_tables.get(vertex)
         if table is None:
             at = self.position(vertex)
-            if self._cone_frame is None:
-                self._cone_frame = self._maximal_frame()
             members, starts = [], [0]
             for obj in self.objects():
                 members.extend(self.hom(obj, vertex))
                 starts.append(len(members))
-            table = self._cone_tables[vertex] = ConeTable(self, vertex, at, members, starts, *self._cone_frame)
+            table = self._cone_tables[vertex] = ConeTable(self, vertex, at, members, starts)
         return table
 
-    def _maximal_frame(self) -> tuple:
-        """``(maximal, below, ancestor, inclusions)`` as described in
-        ``ConeTable``, with ``inclusions[i]`` the inclusions of the objects
-        of ``below[i]`` into ``maximal[i]``."""
-        objs = self.objects()
-        order = sorted(range(len(objs)), key=lambda k: self.object_sort_key(objs[k]))
-        maximal = [m for m in order if not any(b != objs[m] and self.leq(objs[m], b) for b in objs)]
-        lower = [x for x in order if x not in maximal]
-        below = [tuple([x for x in lower if self.leq(objs[x], objs[m])]) for m in maximal]
-        ancestor: list = [None] * len(objs)
-        for i, m in enumerate(maximal):
-            ancestor[m] = (i, None)
-        for i, xs in enumerate(below):
-            for slot, x in enumerate(xs):
-                if ancestor[x] is None:
-                    ancestor[x] = (i, slot)
-        inclusions = tuple(
-            tuple([self.inclusion(objs[x], objs[m]) for x in xs]) for m, xs in zip(maximal, below)
-        )
-        return tuple(maximal), tuple(below), tuple(ancestor), inclusions
+    def _subobject_order(self) -> tuple:
+        """``(above, maximal, below, ancestor)``: ``above[k]`` holds the
+        positions of the objects strictly above ``objects()[k]``, in
+        objects() order, and the rest is the cone frame described in
+        ``ConeTable``, read off ``above``.  Built from ``leq`` on first use,
+        with one call per ordered pair of distinct objects, and shared by
+        every vertex."""
+        if self._order is None:
+            objs, leq = self._objects, self.leq
+            above = tuple([tuple([m for m, b in enumerate(objs) if b != a and leq(a, b)]) for a in objs])
+            maximal = tuple([k for k, ups in enumerate(above) if not ups])
+            below = tuple([tuple([k for k, ups in enumerate(above) if m in ups]) for m in maximal])
+            ancestor: list = [None] * len(objs)
+            for i, xs in enumerate(below):
+                ancestor[maximal[i]] = (i, None)
+                for slot, x in enumerate(xs):
+                    if ancestor[x] is None:
+                        ancestor[x] = (i, slot)
+            self._order = (above, maximal, below, tuple(ancestor))
+        return self._order
 
     @abstractmethod
     def _compute_hom(self, a, b):
@@ -148,10 +147,6 @@ class FiniteCategory(ABC):
         """A normal cone at the vertex whose vertex component is the identity."""
 
     @abstractmethod
-    def object_sort_key(self, a):
-        """Sort key putting larger objects first, ties broken lexicographically."""
-
-    @abstractmethod
     def object_label(self, a) -> str:
         ...
 
@@ -183,31 +178,29 @@ class ConeTable:
 
     A cone is determined by its components at the maximal objects, those
     with no object strictly above them (see ``enumerate_normal_cones``).
-    ``maximal`` holds their positions in objects(), in ``object_sort_key``
-    order, and ``below[i]`` the positions of the other objects below
-    ``maximal[i]``, in the same order.  ``ancestor[k]`` is ``(i, slot)``
-    when ``maximal[i]`` is the first maximal object above object k and
-    ``below[i][slot]`` is k, and ``(i, None)`` when k is ``maximal[i]``.
+    The category's order gives them, for every vertex alike: ``maximal``
+    holds their positions in objects() order, and ``below[i]`` the positions
+    of the other objects below ``maximal[i]``, in the same order.
+    ``ancestor[k]`` is ``(i, slot)`` when ``maximal[i]`` is the first
+    maximal object above object k and ``below[i][slot]`` is k, and
+    ``(i, None)`` when k is ``maximal[i]``.
     ``restrictions(i, c)`` gives the codes of j(x, maximal[i])·f for the
     member f with code c and each x in ``below[i]``; a member's row is
     composed the first time it is asked for and kept with the table.
     """
 
     __slots__ = (
-        "category", "vertex", "at", "members", "codes", "starts", "maximal", "below", "ancestor", "_inclusions", "_rows"
+        "category", "vertex", "at", "members", "codes", "starts", "maximal", "below", "ancestor", "_rows"
     )
 
-    def __init__(self, category, vertex, at, members, starts, maximal, below, ancestor, inclusions):
+    def __init__(self, category, vertex, at, members, starts):
         self.category = category
         self.vertex = vertex
         self.at = at
         self.members = tuple(members)
         self.codes = {f: i for i, f in enumerate(members)}
         self.starts = tuple(starts)
-        self.maximal = maximal
-        self.below = below
-        self.ancestor = ancestor
-        self._inclusions = inclusions
+        _, self.maximal, self.below, self.ancestor = category._subobject_order()
         self._rows: dict = {}
 
     def member(self, code):
@@ -216,8 +209,10 @@ class ConeTable:
     def restrictions(self, i: int, code) -> tuple:
         row = self._rows.get(code)
         if row is None:
-            f, compose = self.member(code), self.category.compose
-            row = tuple([_code(self, x, compose(j, f)) for x, j in zip(self.below[i], self._inclusions[i])])
+            f, cat = self.member(code), self.category
+            objs = cat.objects()
+            m = objs[self.maximal[i]]
+            row = tuple([_code(self, x, cat.compose(cat.inclusion(objs[x], m), f)) for x in self.below[i]])
             if type(code) is int:
                 self._rows[code] = row
         return row
@@ -483,7 +478,7 @@ def enumerate_normal_cones(category: FiniteCategory, vertex) -> list[Cone]:
     Uses only ``hom``, ``leq``, ``inclusion``, ``compose`` and
     ``is_isomorphism``, so it stays independent of any principal cones.
     Cones come out in lexicographic order of their maximal components, the
-    maximal objects taken in ``object_sort_key`` order.
+    maximal objects taken in objects() order.
     """
     table = category.cone_table(vertex)
     ancestor, member = table.ancestor, table.member
@@ -539,10 +534,12 @@ def check_normal_category_axioms(category: FiniteCategory, on_factorization=None
     Checks that the subobject order is a partial order realized by composable
     inclusions, that every inclusion splits via its canonical retraction, that
     every morphism's normal factorization has the right shape and recomposes,
-    and that every object carries an idempotent normal cone.  Each morphism
-    f is factorized once; ``on_factorization(f, q, u, j)``, when given, is
-    called with every factorization that passes, so a caller can compare
-    it with something else without factorizing again.
+    and that every object carries an idempotent normal cone.  Antisymmetry,
+    transitivity and the composition of inclusions read the up-set table of
+    ``_subobject_order``: for a below b, c runs over the objects above b.
+    Each morphism f is factorized once; ``on_factorization(f, q, u, j)``,
+    when given, is called with every factorization that passes, so a caller
+    can compare it with something else without factorizing again.
 
     Many morphisms share a factor, so each distinct factor value is
     checked once: the subobject test, hom-set membership and
@@ -577,25 +574,26 @@ def check_normal_category_axioms(category: FiniteCategory, on_factorization=None
             return fail("identity-inclusion", object=category.object_label(a))
         if category.identity(a) not in category.hom(a, a):
             return fail("identity-membership", object=category.object_label(a))
-    pairs = category.subobject_pairs()
-    for a, b in pairs:
-        if category.leq(b, a):
-            return fail("order-antisymmetric", pair=[category.object_label(a), category.object_label(b)])
-    for a, b in pairs:
-        for c in objs:
-            if category.leq(b, c) and not category.leq(a, c):
-                return fail(
-                    "order-transitive",
-                    chain=[category.object_label(x) for x in (a, b, c)],
-                )
-            if b != c and category.leq(b, c):
-                left = category.compose(category.inclusion(a, b), category.inclusion(b, c))
-                if left != category.inclusion(a, c):
-                    return fail(
-                        "inclusion-composition",
-                        chain=[category.object_label(x) for x in (a, b, c)],
-                    )
-    for a, b in pairs:
+    above = category._subobject_order()[0]
+    upper = [frozenset(ups) for ups in above]
+
+    def labels(*ks):
+        return [category.object_label(objs[k]) for k in ks]
+
+    for k, ups in enumerate(above):
+        for m in ups:
+            if k in upper[m]:
+                return fail("order-antisymmetric", pair=labels(k, m))
+    for k, ups in enumerate(above):
+        for m in ups:
+            a, b = objs[k], objs[m]
+            for p in above[m]:
+                if p not in upper[k]:
+                    return fail("order-transitive", chain=labels(k, m, p))
+                c = objs[p]
+                if category.compose(category.inclusion(a, b), category.inclusion(b, c)) != category.inclusion(a, c):
+                    return fail("inclusion-composition", chain=labels(k, m, p))
+    for a, b in category.subobject_pairs():
         counts["inclusions"] += 1
         j = category.inclusion(a, b)
         q = category.retraction(a, b)

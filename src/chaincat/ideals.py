@@ -156,9 +156,6 @@ class LCategory(_IdealCategory):
     def idempotent_cone(self, vertex: Subset) -> Cone:
         return self.principal_cone(idempotent_for_image(vertex))
 
-    def object_sort_key(self, a: Subset):
-        return (-len(a), a.elements)
-
     def morphism_label(self, f: SubMap) -> str:
         return f"rho({f.domain} -> {f.codomain}: {f})"
 
@@ -267,9 +264,6 @@ class RCategory(_IdealCategory):
 
     def idempotent_cone(self, vertex: OrderedPartition) -> Cone:
         return self.dual_principal_cone(idempotent_for_kernel(vertex))
-
-    def object_sort_key(self, a: OrderedPartition):
-        return (-a.num_blocks, a.block_sizes)
 
     def morphism_label(self, m: BlockMap) -> str:
         return f"lambda({m.source} -> {m.target}: {m})"

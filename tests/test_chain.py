@@ -609,6 +609,9 @@ class TestSubsetPartition:
         for n, elements in ((3, (1.0, 2)), (3, (1, 2.5)), (3, (True, 2)), (3, [1, 2]), (3.0, (1, 2)), (True, (1,))):
             with pytest.raises(ValueError):
                 Subset(n, elements)
+        for elements in ([1, "a"], [1, None], ["a"]):
+            with pytest.raises(ValueError, match="is not an int"):
+                Subset.of(3, elements)
         assert not Subset.full(3).is_proper()
         assert subset(3, 1, 2).is_proper()
 

@@ -62,3 +62,47 @@ def test_a_damaged_order_answer_fails_factorize_po(fresh_builds, monkeypatch):
     report = verify.run_check("factorize-Po", 4)
     assert report.status == "fail"
     assert report.witness == {"category": "Po", **witness}
+
+
+@pytest.mark.parametrize("base,n,bound", [(LCategory, 5, 1800), (RCategory, 5, 450)], ids=["L5", "R5"])
+def test_one_axiom_pass_reads_the_order_once(base, n, bound):
+    """The pass reads the order off one up-set table, built with one leq
+    call per ordered pair of distinct objects, so it stays within
+    2·|objects|² calls (11 304 on L(5) and 2 209 on R(5) when every
+    subobject pair scanned every object)."""
+
+    class Counting(base):
+        calls = 0
+
+        def leq(self, a, b):
+            Counting.calls += 1
+            return super().leq(a, b)
+
+    cat = Counting(n)
+    assert check_normal_category_axioms(cat)[0]
+    assert 2 * len(cat.objects()) ** 2 == bound
+    assert Counting.calls <= bound
+
+
+OLD_SORT_KEYS = {
+    LCategory: lambda a: (-len(a), a.elements),
+    PowersetCategory: lambda a: (-len(a), a.elements),
+    RCategory: lambda a: (-a.num_blocks, a.block_sizes),
+    PartitionCategory: lambda a: (-a.num_blocks, a.block_sizes),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("base", list(OLD_SORT_KEYS), ids=["L", "Po", "R", "Pi"])
+def test_cone_frame_keeps_the_sorted_maximal_order(base, n):
+    """The maximal objects come in objects() order, which is the order of
+    the larger-first, then lexicographic sort key each category once
+    supplied, so cones keep their order and labels; each ``below[i]`` is
+    the set of objects a direct leq scan puts strictly below ``maximal[i]``."""
+    cat = base(n)
+    objs = cat.objects()
+    strictly_below = [[k for k, x in enumerate(objs) if x != m and cat.leq(x, m)] for m in objs]
+    maximal = [k for k, a in enumerate(objs) if not any(b != a and cat.leq(a, b) for b in objs)]
+    table = cat.cone_table(objs[-1])
+    assert list(table.maximal) == sorted(maximal, key=lambda k: OLD_SORT_KEYS[base](objs[k]))
+    assert [set(xs) for xs in table.below] == [set(strictly_below[m]) for m in table.maximal]
