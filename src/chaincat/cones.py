@@ -576,23 +576,19 @@ def check_normal_category_axioms(category: FiniteCategory, on_factorization=None
             return fail("identity-membership", object=category.object_label(a))
     above = category._subobject_order()[0]
     upper = [frozenset(ups) for ups in above]
-
-    def labels(*ks):
-        return [category.object_label(objs[k]) for k in ks]
-
     for k, ups in enumerate(above):
         for m in ups:
             if k in upper[m]:
-                return fail("order-antisymmetric", pair=labels(k, m))
+                return fail("order-antisymmetric", pair=[category.object_label(objs[x]) for x in (k, m)])
     for k, ups in enumerate(above):
         for m in ups:
             a, b = objs[k], objs[m]
             for p in above[m]:
-                if p not in upper[k]:
-                    return fail("order-transitive", chain=labels(k, m, p))
                 c = objs[p]
+                if p not in upper[k]:
+                    return fail("order-transitive", chain=[category.object_label(x) for x in (a, b, c)])
                 if category.compose(category.inclusion(a, b), category.inclusion(b, c)) != category.inclusion(a, c):
-                    return fail("inclusion-composition", chain=labels(k, m, p))
+                    return fail("inclusion-composition", chain=[category.object_label(x) for x in (a, b, c)])
     for a, b in category.subobject_pairs():
         counts["inclusions"] += 1
         j = category.inclusion(a, b)
