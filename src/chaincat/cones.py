@@ -13,6 +13,7 @@ small ints, and the other components are derived when asked for.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping
 
@@ -52,13 +53,22 @@ class FiniteCategory(ABC):
 
     def hom(self, a, b) -> tuple:
         """The morphisms a -> b; ValueError unless both are objects, checked
-        only on a cache miss."""
+        only on a cache miss.  The hom-set is cached on the instance, with
+        every other hom-set its ``_compute_hom`` call filled (see
+        ``fill_unit``), and stays cached unless a streaming check such as
+        ``check_functor_isomorphism`` releases the ones it filled itself."""
         key = (a, b)
         if key not in self._hom_cache:
             self.position(a)
             self.position(b)
             self._hom_cache[key] = tuple(self._compute_hom(a, b))
         return self._hom_cache[key]
+
+    def fill_unit(self, x):
+        """The hom pairs one ``_compute_hom`` call may fill together, headed
+        by the object x: here the row hom(x, .), in objects() order.  A
+        carrier that fills another way says so by overriding this."""
+        return zip(repeat(x), self._objects)
 
     def subobject_pairs(self) -> list:
         """All ordered pairs (a, b) of distinct objects with a below b."""
@@ -664,6 +674,15 @@ def check_functor_isomorphism(source: FiniteCategory, target: FiniteCategory) ->
     isomorphism of categories exactly when the object lists are equal and
     every hom-set is the same set, without duplicates, from both sources;
     that is all this compares.
+
+    The pairs are walked in the order ``source`` fills them, one
+    ``fill_unit`` per object: rows on the left-ideal side, columns on the
+    right.  Once a unit is compared, or the walk leaves it early, every
+    hom-set the unit added to either category's cache is released, so the
+    check holds one unit at a time, not both categories.  A hom-set cached
+    before the unit began stays cached, as the same object: hom-sets are
+    only ever added to a cache, so the ones a unit filled are the entries
+    past the cache's length when it began.
     Returns (ok, counts, witness).
     """
     objs = source.objects()
@@ -674,13 +693,21 @@ def check_functor_isomorphism(source: FiniteCategory, target: FiniteCategory) ->
 
     if objs != target.objects():
         return False, counts, {"reason": "objects-not-bijective"}
-    for a in objs:
-        for b in objs:
-            counts["hom_pairs"] += 1
-            hs, ht = source.hom(a, b), target.hom(a, b)
-            if len(hs) != len(ht):
-                return fail("hom-count-mismatch", a, b, source=len(hs), target=len(ht))
-            if len(set(hs)) != len(hs) or set(hs) != set(ht):
-                return fail("hom-not-bijective", a, b)
-            counts["morphisms"] += len(hs)
+    caches = (source._hom_cache, target._hom_cache)
+    for x in objs:
+        marks = tuple(map(len, caches))
+        try:
+            for a, b in source.fill_unit(x):
+                counts["hom_pairs"] += 1
+                hs, ht = source.hom(a, b), target.hom(a, b)
+                if len(hs) != len(ht):
+                    return fail("hom-count-mismatch", a, b, source=len(hs), target=len(ht))
+                distinct = set(hs)
+                if len(distinct) != len(hs) or distinct != set(ht):
+                    return fail("hom-not-bijective", a, b)
+                counts["morphisms"] += len(hs)
+        finally:
+            for cache, mark in zip(caches, marks):
+                while len(cache) > mark:
+                    cache.popitem()
     return True, counts, None

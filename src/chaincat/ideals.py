@@ -220,6 +220,11 @@ class RCategory(_IdealCategory):
     def __init__(self, n: int):
         super().__init__(n, ordered_partitions)
 
+    def fill_unit(self, x):
+        """The column hom(., x), in objects() order: ``_compute_hom`` fills
+        a whole column at once."""
+        return zip(self._objects, repeat(x))
+
     def _compute_hom(self, a: OrderedPartition, b: OrderedPartition):
         """hom(a, b) as the canonical forms of the sandwich set f*S*e (f, e
         the representative idempotents of b, a), in order of first

@@ -42,6 +42,11 @@ def _swap_first_from(other):
 
 L_PAIR = (Subset(3, (1, 3)), Subset(3, (2, 3)))
 R_PAIR = (OrderedPartition(3, (1, 2)), OrderedPartition(3, (2, 1)))
+# The last pair each check walks: the last source row for F, the last
+# target column for G.  A walk that stops early, or releases a unit before
+# comparing it, misses a defect here.
+L_LAST = (Subset(3, (2, 3)), Subset(3, (2, 3)))
+R_LAST = (OrderedPartition(3, (2, 1)), OrderedPartition(3, (2, 1)))
 
 CASES = {
     "F-drop": ("F-iso", "powerset_category", PowersetCategory, L_PAIR, _drop_last, "hom-count-mismatch"),
@@ -52,6 +57,11 @@ CASES = {
     "G-drop": ("G-iso", "partition_category", PartitionCategory, R_PAIR, _drop_last, "hom-count-mismatch"),
     "G-swap": (
         "G-iso", "partition_category", PartitionCategory, R_PAIR,
+        _swap_first_from(OrderedPartition(3, (3,))), "hom-not-bijective",
+    ),
+    "F-last": ("F-iso", "powerset_category", PowersetCategory, L_LAST, _drop_last, "hom-count-mismatch"),
+    "G-last": (
+        "G-iso", "partition_category", PartitionCategory, R_LAST,
         _swap_first_from(OrderedPartition(3, (3,))), "hom-not-bijective",
     ),
 }
@@ -71,6 +81,12 @@ def test_functor_check_names_the_planted_pair(case, fresh_builds, monkeypatch):
     assert report.witness["pair"] == [planted.object_label(x) for x in pair]
 
 
+@pytest.mark.parametrize("base,pair", [(PowersetCategory, L_LAST), (PartitionCategory, R_LAST)])
+def test_last_cases_sit_at_the_end_of_the_walk(base, pair):
+    cat = base(3)
+    assert list(cat.fill_unit(cat.objects()[-1]))[-1] == pair
+
+
 SHARED = (
     "compose",
     "identity",
@@ -80,6 +96,7 @@ SHARED = (
     "normal_factorize",
     "is_isomorphism",
     "_compute_inclusion",
+    "fill_unit",
     "__init__",
 )
 
