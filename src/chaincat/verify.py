@@ -425,7 +425,7 @@ CHECKS: dict[str, CheckDef] = {
     "cones-principal": CheckDef(check_cones_principal, 3, 6),
     "TL-iso": CheckDef(check_tl_iso, 3, 6),
     "F-iso": CheckDef(check_f_iso, 3, 7),
-    "G-iso": CheckDef(check_g_iso, 3, 7),
+    "G-iso": CheckDef(check_g_iso, 3, 8),
     "TPo-iso": CheckDef(check_tpo_iso, 3, 6),
     "phi-faithful": CheckDef(check_phi_faithful, 3, 5),
     "cone-regular": CheckDef(check_cone_regular, 3, 5),

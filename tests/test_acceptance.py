@@ -90,7 +90,7 @@ def test_criterion_05_cone_semigroups_isomorphic():
 
 def test_criterion_06_category_isomorphisms():
     ok_f, detail_f, t1 = _run("F-iso", (3, 4, 5, 6, 7))
-    ok_g, detail_g, t2 = _run("G-iso", (3, 4, 5, 6, 7))
+    ok_g, detail_g, t2 = _run("G-iso", (3, 4, 5, 6, 7, 8))
     ok = ok_f and ok_g
     _line("6-functor-isomorphisms", ok, f"{detail_f} | {detail_g}", t1 + t2)
     assert ok

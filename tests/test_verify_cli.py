@@ -47,7 +47,7 @@ class TestRunner:
             run_check("green", 9)
         with pytest.raises(ValueError):
             run_check("counts", 2)
-        for name, past in (("factorize-L", 7), ("factorize-Po", 7), ("F-iso", 8), ("G-iso", 8)):
+        for name, past in (("factorize-L", 7), ("factorize-Po", 7), ("F-iso", 8), ("G-iso", 9)):
             with pytest.raises(ValueError, match="supports n"):
                 run_check(name, past)
 
