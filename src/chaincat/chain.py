@@ -19,7 +19,12 @@ which keep one instance per value.  Likewise ``compose`` returns the
 instance ``enumerate_oxn`` built when the composite is one of its maps, so
 a product reuses that map's cached image and kernel; only a product no
 enumeration has made (the identity, or a map of a chain size not yet
-enumerated) is a fresh value."""
+enumerated) is a fresh value.  The normal factorizations share their
+halves too: each retraction and inclusion factor is one instance per
+value, kept for the life of the process by ``_retraction_half``,
+``_inclusion_half``, ``_block_retraction_half`` and
+``_block_inclusion_half``, and only the middle bijection is built per
+morphism."""
 
 from __future__ import annotations
 
@@ -708,17 +713,32 @@ def factorize_submap(f: SubMap) -> tuple[SubMap, SubMap, SubMap]:
     the first element of each fiber, the bijection is f on that
     cross-section, and the inclusion embeds the image into B.  All three
     choices are canonical, so the output is deterministic, and all three
-    maps are valid by construction.
+    maps are valid by construction.  The retraction depends only on A and
+    the fiber lengths, the inclusion only on B and the image, so each is
+    the one shared instance ``_retraction_half`` or ``_inclusion_half``
+    keeps for that value; only the bijection is built per call.
     """
     lengths, values = _runs(f.values)
-    elements = f.domain.elements
+    q = _retraction_half(f.domain, lengths)
+    j = _inclusion_half(f.codomain, values)
+    return q, SubMap._trusted(q.codomain, j.domain, values), j
+
+
+@lru_cache(maxsize=None)
+def _retraction_half(domain: Subset, lengths: tuple[int, ...]) -> SubMap:
+    """The retraction of domain onto the first element of each of its runs
+    of the given lengths, one instance per value."""
+    elements = domain.elements
     firsts = tuple(elements[i] for i in accumulate(lengths[:-1], initial=0))
-    cross = Subset._shared(f.domain.n, firsts)
-    img = Subset._shared(f.domain.n, values)
-    q = SubMap._trusted(f.domain, cross, tuple(x for x, k in zip(firsts, lengths) for _ in range(k)))
-    u = SubMap._trusted(cross, img, values)
-    j = SubMap._trusted(img, f.codomain, values)
-    return q, u, j
+    cross = Subset._shared(domain.n, firsts)
+    return SubMap._trusted(domain, cross, tuple(x for x, k in zip(firsts, lengths) for _ in range(k)))
+
+
+@lru_cache(maxsize=None)
+def _inclusion_half(codomain: Subset, values: tuple[int, ...]) -> SubMap:
+    """The inclusion into codomain of the subset of the given values, one
+    instance per value."""
+    return SubMap._trusted(Subset._shared(codomain.n, values), codomain, values)
 
 
 def factorize_block_map(m: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
@@ -732,13 +752,28 @@ def factorize_block_map(m: BlockMap) -> tuple[BlockMap, BlockMap, BlockMap]:
     fiber coarsening sigma of p2 merges the blocks of each run, so it is cut
     where each run but the last ends.  q picks out the hit blocks, u is the
     bijection gamma -> sigma, and j sends each block of p2 to its run; all
-    three maps are valid by construction.
+    three maps are valid by construction.  As there, q (with gamma) depends
+    only on p1 and the hit blocks and j (with sigma) only on p2 and the run
+    lengths, so each is one shared instance per value and only u is built
+    per call.
     """
     lengths, hit = _runs(m.images)
-    p1, p2 = m.source, m.target
+    q = _block_retraction_half(m.source, hit)
+    j = _block_inclusion_half(m.target, lengths)
+    return q, BlockMap._trusted(q.target, j.source, tuple(range(len(hit)))), j
+
+
+@lru_cache(maxsize=None)
+def _block_retraction_half(p1: OrderedPartition, hit: tuple[int, ...]) -> BlockMap:
+    """The map p1 -> gamma picking out the hit blocks of p1, one instance
+    per value."""
     gamma = _cut_after(p1.n, tuple([p1._ends[j] for j in hit[:-1]]))
+    return BlockMap._trusted(p1, gamma, hit)
+
+
+@lru_cache(maxsize=None)
+def _block_inclusion_half(p2: OrderedPartition, lengths: tuple[int, ...]) -> BlockMap:
+    """The map sigma -> p2 sending each block of p2 to its run of the
+    given lengths, one instance per value."""
     sigma = _cut_after(p2.n, tuple([p2._ends[k - 1] for k in accumulate(lengths[:-1])]))
-    q = BlockMap._trusted(p1, gamma, hit)
-    u = BlockMap._trusted(gamma, sigma, tuple(range(len(hit))))
-    j = BlockMap._trusted(sigma, p2, tuple([r for r, k in enumerate(lengths) for _ in range(k)]))
-    return q, u, j
+    return BlockMap._trusted(sigma, p2, tuple([r for r, k in enumerate(lengths) for _ in range(k)]))

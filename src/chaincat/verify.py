@@ -221,33 +221,37 @@ def _gamma_oracle(m: BlockMap) -> OrderedPartition:
     return OrderedPartition(m.source.n, tuple(sizes))
 
 
-def _check_pi_factorization(cat: PartitionCategory, m: BlockMap, q: BlockMap, j: BlockMap) -> dict | None:
-    """Compare the middle objects of m's normal factorization (q, u, j)
-    with the two independent oracles; the axiom pass that made it has
-    already checked that it recomposes and has the right kinds of factors."""
-
-    def fail(reason: str) -> dict:
-        return {"reason": reason, "morphism": cat.morphism_label(m)}
-
-    if j.source != _sigma_oracle(m):
-        return fail("fiber coarsening disagrees with oracle")
-    if q.target != _gamma_oracle(m):
-        return fail("image absorption disagrees with oracle")
-    return None
-
-
 def check_factorize_pi(n: int):
-    """The axioms on Pi, and each factorization the axiom pass makes
-    against the oracles.  An axiom failure is reported first; otherwise
-    the first morphism, in hom-set order, whose factorization disagrees
-    with an oracle."""
+    """The axioms on Pi, and the middle objects of each factorization the
+    axiom pass makes against the two independent oracles; that pass has
+    already checked that it recomposes and has the right kinds of factors.
+    An axiom failure is reported first; otherwise the first morphism, in
+    hom-set order, whose factorization disagrees with an oracle.
+
+    Each oracle is asked once per distinct input, keyed by exactly what it
+    reads: ``_sigma_oracle`` by m's target and images, ``_gamma_oracle`` by
+    m's source and the set of its images.  The answers are kept for this
+    call only, and every morphism's factors are still compared with its
+    own oracle value."""
     cat = partition_category(n)
     disagreement = None
+    sigmas, gammas = {}, {}
 
     def compare(m, q, _, j):
         nonlocal disagreement
-        if disagreement is None:
-            disagreement = _check_pi_factorization(cat, m, q, j)
+        if disagreement is not None:
+            return
+        key = (m.target, m.images)
+        if key not in sigmas:
+            sigmas[key] = _sigma_oracle(m)
+        if j.source != sigmas[key]:
+            disagreement = {"reason": "fiber coarsening disagrees with oracle", "morphism": cat.morphism_label(m)}
+            return
+        key = (m.source, frozenset(m.images))
+        if key not in gammas:
+            gammas[key] = _gamma_oracle(m)
+        if q.target != gammas[key]:
+            disagreement = {"reason": "image absorption disagrees with oracle", "morphism": cat.morphism_label(m)}
 
     ok, counts, witness = _axioms_for("Pi", cat, compare)
     if not ok:

@@ -286,7 +286,18 @@ def test_factorization_oracles_share_no_code_with_the_factorization(oracle):
     tree = ast.parse(inspect.getsource(oracle))
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    forbidden = {"_runs", "_cut_after", "_trusted", "_shared", "factorize_block_map", "factorize_pi"}
+    forbidden = {
+        "_runs",
+        "_cut_after",
+        "_trusted",
+        "_shared",
+        "_retraction_half",
+        "_inclusion_half",
+        "_block_retraction_half",
+        "_block_inclusion_half",
+        "factorize_block_map",
+        "factorize_pi",
+    }
     assert not named & forbidden
 
 
