@@ -726,12 +726,11 @@ def factorize_submap(f: SubMap) -> tuple[SubMap, SubMap, SubMap]:
 
 @lru_cache(maxsize=None)
 def _retraction_half(domain: Subset, lengths: tuple[int, ...]) -> SubMap:
-    """The retraction of domain onto the first element of each of its runs
-    of the given lengths, one instance per value."""
+    """The left-endpoint retraction of domain onto the first element of
+    each of its runs of the given lengths, one instance per value."""
     elements = domain.elements
     firsts = tuple(elements[i] for i in accumulate(lengths[:-1], initial=0))
-    cross = Subset._shared(domain.n, firsts)
-    return SubMap._trusted(domain, cross, tuple(x for x, k in zip(firsts, lengths) for _ in range(k)))
+    return retraction_for_inclusion(Subset._shared(domain.n, firsts), domain)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ small ints, and the other components are derived when asked for.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import repeat
+from itertools import accumulate, repeat
 from types import MappingProxyType
 from typing import Mapping
 
@@ -81,12 +81,7 @@ class FiniteCategory(ABC):
         object."""
         table = self._cone_tables.get(vertex)
         if table is None:
-            at = self.position(vertex)
-            members, starts = [], [0]
-            for obj in self.objects():
-                members.extend(self.hom(obj, vertex))
-                starts.append(len(members))
-            table = self._cone_tables[vertex] = ConeTable(self, vertex, at, members, starts)
+            table = self._cone_tables[vertex] = ConeTable(self, vertex)
         return table
 
     def _subobject_order(self) -> tuple:
@@ -177,10 +172,11 @@ def _code(table: "ConeTable", k: int, f):
 
 class ConeTable:
     """The coding of the cones with one vertex, ``vertex``, which is
-    ``objects()[at]``.
+    ``objects()[at]``; ValueError for a vertex that is not an object.
 
-    ``members`` concatenates hom(obj, vertex) over the objects in objects()
-    order, ``codes`` maps each member to its index there, its code, and the
+    The table reads everything else off the category: ``members``
+    concatenates hom(obj, vertex) over the objects in objects() order,
+    ``codes`` maps each member to its index there, its code, and the
     members with source ``objects()[k]`` fill
     ``members[starts[k]:starts[k + 1]]``.  The numbering follows the hom-set
     order, so two separately built copies of a category code their cones
@@ -203,13 +199,14 @@ class ConeTable:
         "category", "vertex", "at", "members", "codes", "starts", "maximal", "below", "ancestor", "_rows"
     )
 
-    def __init__(self, category, vertex, at, members, starts):
+    def __init__(self, category, vertex):
         self.category = category
         self.vertex = vertex
-        self.at = at
-        self.members = tuple(members)
-        self.codes = {f: i for i, f in enumerate(members)}
-        self.starts = tuple(starts)
+        self.at = category.position(vertex)
+        homs = [category.hom(obj, vertex) for obj in category.objects()]
+        self.members = tuple([f for hom in homs for f in hom])
+        self.codes = {f: i for i, f in enumerate(self.members)}
+        self.starts = (0, *accumulate(map(len, homs)))
         _, self.maximal, self.below, self.ancestor = category._subobject_order()
         self._rows: dict = {}
 
@@ -447,9 +444,11 @@ def cone_mul(gamma: Cone, sigma: Cone, memo: _Products | None = None) -> Cone:
     return product
 
 
-def cone_semigroup(category: FiniteCategory, cones) -> FiniteSemigroup:
+def cone_semigroup(cones) -> FiniteSemigroup:
     """The semigroup of the given normal cones under cone multiplication.
 
+    Each cone carries its category, so none is passed: cones over two
+    categories meet in ``cone_mul``, whose ValueError the build raises.
     Every input cone is validated, and closure failures surface the escaping
     product.  Products share one memo for the length of the build, seeded
     with the input cones: a product is fixed by its vertex and maximal

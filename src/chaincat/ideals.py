@@ -13,7 +13,6 @@ partition categories reuse both classes but enumerate their hom-sets.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 
 from .chain import (
@@ -58,12 +57,6 @@ def l_morphism_from_triple(e_a: OPMap, u: OPMap, e_b: OPMap) -> SubMap:
     return restrict(u, a, codomain=b)
 
 
-@lru_cache(maxsize=None)
-def _oxn_positions(n: int) -> dict[OPMap, int]:
-    """The position of each singular map in ``enumerate_oxn(n)``."""
-    return {s: k for k, s in enumerate(enumerate_oxn(n))}
-
-
 def _sandwich_sets(category, e: OPMap, idempotent):
     """Each object c with the distinct elements of e*S*idempotent(c), in order
     of first occurrence over the singular maps.
@@ -71,13 +64,17 @@ def _sandwich_sets(category, e: OPMap, idempotent):
     The elements are the shared maps of ``enumerate_oxn``.  For a singular
     e, each e*s is itself a singular map s', so (e*s)*e_c = s'*e_c is an
     entry of c's column of right products: the positions of s'*e_c for
-    every singular s', kept on the category and filled on first use.  A
-    fill makes the products e*s once, as positions, and reads every
-    sandwich set off the columns; filling all rows makes
-    2*|objects|*|OX_n| products in all.
+    every singular s', kept on the category and filled on first use.  The
+    position of each singular map is kept on the category too, made by
+    the first call, so columns and positions live exactly as long as the
+    category.  A fill makes the products
+    e*s once, as positions, and reads every sandwich set off the columns;
+    filling all rows makes 2*|objects|*|OX_n| products in all.
     """
     elements = enumerate_oxn(category.n)
-    position = _oxn_positions(category.n)
+    position = category._oxn_positions
+    if position is None:
+        position = category._oxn_positions = {s: k for k, s in enumerate(elements)}
     left = dict.fromkeys(map(position.__getitem__, map(compose_maps, repeat(e), elements)))
     columns = category._columns
     for c in category.objects():
@@ -91,13 +88,15 @@ def _sandwich_sets(category, e: OPMap, idempotent):
 class _IdealCategory(FiniteCategory):
     """What both ideal categories on a chain of size n share: the objects
     ``objects(n)``, the columns of right products their hom-sets are read
-    from (see ``_sandwich_sets``), the bijections as isomorphisms and each
-    object labelled by its str."""
+    from, with the positions of the singular maps the columns hold (see
+    ``_sandwich_sets``), the bijections as isomorphisms and each object
+    labelled by its str."""
 
     def __init__(self, n: int, objects):
         self.n = check_chain_size(n)
         super().__init__(objects(n))
         self._columns: dict = {}
+        self._oxn_positions: dict | None = None
 
     def is_isomorphism(self, f) -> bool:
         return f.is_bijective()
@@ -283,23 +282,20 @@ class RCategory(_IdealCategory):
         return Cone(self, vertex, {obj: r_canonical(obj, vertex, alpha) for obj in self.objects()})
 
 
-def phi_representation(
-    n: int,
-    category: RCategory | None = None,
-    source_semigroup=None,
-) -> ElementMap:
-    """Represent each singular map by its dual principal cone.
+def phi_representation(category: RCategory, source_semigroup=None) -> ElementMap:
+    """Represent each singular map on the chain of ``category`` by its dual
+    principal cone in ``category``.
 
     The image is closed under cone multiplication, but products reverse
     (cone_mul(phi(a), phi(b)) = phi(b*a)), so the representation is an
-    injective anti-homomorphism onto its image.
+    injective anti-homomorphism onto its image.  ``source_semigroup`` is
+    OX_n, built here when not given; ValueError unless it lists
+    ``enumerate_oxn(category.n)`` in order.
     """
-    cat = category if category is not None else RCategory(n)
-    elements = enumerate_oxn(n)
+    elements = enumerate_oxn(category.n)
     ox = source_semigroup if source_semigroup is not None else build_semigroup(elements, compose_maps)
     if list(ox.elements) != list(elements):
         raise ValueError("source semigroup must enumerate the singular maps in order")
-    cones = [cat.dual_principal_cone(a) for a in elements]
-    distinct = list(dict.fromkeys(cones))
-    target = cone_semigroup(cat, distinct)
+    cones = [category.dual_principal_cone(a) for a in elements]
+    target = cone_semigroup(dict.fromkeys(cones))
     return ElementMap(ox, target, tuple(target.index[c] for c in cones))

@@ -193,7 +193,8 @@ def green_oracle(s: FiniteSemigroup, relation: str) -> tuple:
 
 @dataclass
 class ElementMap:
-    """A total map between two finite semigroups, as an index assignment."""
+    """A total map between two finite semigroups, as an index assignment:
+    one int per source element, a bool refused as every carrier refuses one."""
 
     source: FiniteSemigroup
     target: FiniteSemigroup
@@ -202,6 +203,8 @@ class ElementMap:
     def __post_init__(self):
         if len(self.assignment) != self.source.order:
             raise ValueError("assignment must cover every source element")
+        if any(type(t) is not int for t in self.assignment):
+            raise ValueError("assignment entries must be ints")
         if any(not 0 <= t < self.target.order for t in self.assignment):
             raise ValueError("assignment hits indices outside the target")
 

@@ -77,25 +77,25 @@ def partition_category(n: int) -> PartitionCategory:
 @lru_cache(maxsize=None)
 def tl_semigroup(n: int) -> FiniteSemigroup:
     cat = left_category(n)
-    return cone_semigroup(cat, [cat.principal_cone(a) for a in chain.enumerate_oxn(n)])
+    return cone_semigroup([cat.principal_cone(a) for a in chain.enumerate_oxn(n)])
 
 
 @lru_cache(maxsize=None)
 def tpo_semigroup(n: int) -> FiniteSemigroup:
     cat = powerset_category(n)
-    return cone_semigroup(cat, [cat.principal_cone(a) for a in chain.enumerate_oxn(n)])
+    return cone_semigroup([cat.principal_cone(a) for a in chain.enumerate_oxn(n)])
 
 
 @lru_cache(maxsize=None)
 def phi_into_tr(n: int) -> ElementMap:
-    return phi_representation(n, category=right_category(n), source_semigroup=oxn_semigroup(n))
+    return phi_representation(right_category(n), oxn_semigroup(n))
 
 
 @lru_cache(maxsize=None)
 def tpi_semigroup(n: int) -> FiniteSemigroup:
     cat = partition_category(n)
     distinct = dict.fromkeys(cat.dual_principal_cone(a) for a in chain.enumerate_oxn(n))
-    return cone_semigroup(cat, list(distinct))
+    return cone_semigroup(distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def _inputs(label, n):
 
 @pytest.mark.parametrize("label,n", PRODUCT_CASES)
 def test_every_product_is_the_element_itself(label, n, monkeypatch):
-    cat, inputs = _inputs(label, n)
+    _, inputs = _inputs(label, n)
     products = []
 
     def recording_build(elements, mul_fn):
@@ -80,7 +80,7 @@ def test_every_product_is_the_element_itself(label, n, monkeypatch):
         return build(elements, mul)
 
     monkeypatch.setattr(cones, "build", recording_build)
-    s = cone_semigroup(cat, inputs)
+    s = cone_semigroup(inputs)
     assert s.elements == inputs
     m = s.order
     assert len(products) == m * m
@@ -129,7 +129,7 @@ def test_a_wrong_component_product_escapes_as_a_fresh_cone(label, n, fresh_build
     cat, inputs = _inputs(label, n)
     _plant_escaping_product(cat, inputs, monkeypatch)
     with pytest.raises(ClosureError) as caught:
-        cone_semigroup(cat, inputs)
+        cone_semigroup(inputs)
     exc = caught.value
     assert exc.product not in set(inputs)
     assert all(exc.product is not c for c in inputs)

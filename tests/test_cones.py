@@ -203,26 +203,35 @@ class TestConeMul:
 
 class TestConeSemigroup:
     def test_all_principal_cones_regular(self, lcat3):
-        s = cone_semigroup(lcat3, [lcat3.principal_cone(a) for a in enumerate_oxn(3)])
+        s = cone_semigroup([lcat3.principal_cone(a) for a in enumerate_oxn(3)])
         assert s.order == 9 and is_regular(s)
 
     def test_idempotent_cones_alone_not_closed(self, lcat3):
         idem = [lcat3.principal_cone(a) for a in enumerate_oxn(3) if a.is_idempotent()]
         with pytest.raises(ClosureError) as info:
-            cone_semigroup(lcat3, idem)
+            cone_semigroup(idem)
         escaped = info.value.product
         assert escaped not in idem
 
     def test_singleton_idempotent(self, lcat3):
         c = lcat3.principal_cone(OPMap((2, 2, 2)))
-        s = cone_semigroup(lcat3, [c])
+        s = cone_semigroup([c])
         assert s.order == 1 and s.table == [[0]]
 
     def test_invalid_input_rejected(self, lcat3):
         cone = lcat3.principal_cone(OPMap((1, 1, 2)))
         broken = Cone(lcat3, cone.vertex, {})
         with pytest.raises(ValueError):
-            cone_semigroup(lcat3, [broken])
+            cone_semigroup([broken])
+
+    @pytest.mark.parametrize("other", [PowersetCategory, LCategory])
+    def test_cones_over_two_categories_rejected(self, lcat3, other):
+        # the cones carry their categories; the last one lives over another
+        # category, of another class or a second copy of L(3)
+        *rest, last = enumerate_oxn(3)
+        cones = [lcat3.principal_cone(a) for a in rest] + [other(3).principal_cone(last)]
+        with pytest.raises(ValueError, match="cones live over different categories"):
+            cone_semigroup(cones)
 
 
 class TestEnumeration:
@@ -272,6 +281,6 @@ def test_rebuilt_category_gives_identical_tables():
     for x, y in zip(first.objects(), second.objects()):
         assert x == y
         assert first.hom(x, y) == second.hom(x, y)
-    s1 = cone_semigroup(first, [first.principal_cone(a) for a in enumerate_oxn(3)])
-    s2 = cone_semigroup(second, [second.principal_cone(a) for a in enumerate_oxn(3)])
+    s1 = cone_semigroup([first.principal_cone(a) for a in enumerate_oxn(3)])
+    s2 = cone_semigroup([second.principal_cone(a) for a in enumerate_oxn(3)])
     assert s1.table == s2.table and s1.elements == s2.elements

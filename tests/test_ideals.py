@@ -19,9 +19,11 @@ from chaincat.cones import cone_mul, mset, validate_cone
 from chaincat.ideals import (
     RCategory,
     l_morphism_from_triple,
+    phi_representation,
     r_morphism_from_triple,
 )
 from chaincat.semigroups import (
+    build,
     find_isomorphism,
     is_antihomomorphism,
     is_homomorphism,
@@ -376,6 +378,17 @@ class TestPhiRepresentation:
         from chaincat.semigroups import is_regular
 
         assert is_regular(phi_into_tr(n).target)
+
+    def test_source_semigroup_must_list_the_singular_maps_in_order(self):
+        cat = right_category(3)
+        ox = oxn_semigroup(3)
+        phi = phi_representation(cat, ox)
+        assert phi.source is ox
+        assert phi_representation(cat).assignment == phi.assignment
+        reordered = build(enumerate_oxn(3)[::-1], compose)
+        for wrong in (reordered, oxn_semigroup(4)):
+            with pytest.raises(ValueError, match="singular maps in order"):
+                phi_representation(cat, wrong)
 
     def test_distinct_kernels_distinct_vertices(self):
         cat = right_category(3)

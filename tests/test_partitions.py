@@ -232,7 +232,7 @@ class TestTransportedImage:
         picat = partition_category(n)
         cones = [picat.dual_principal_cone(a) for a in enumerate_oxn(n)]
         assert len(set(cones)) == len(cones)
-        tpi = cone_semigroup(picat, cones)
+        tpi = cone_semigroup(cones)
         assert is_regular(tpi)
         ox = oxn_semigroup(n)
         assert find_isomorphism(opposite(ox), tpi) is not None
@@ -256,8 +256,8 @@ class TestFullRightConeSemigroups:
         assert len(r_cones) == len(p_cones) == total
         duals = {rcat.dual_principal_cone(a) for a in enumerate_oxn(n)}
         assert duals <= set(r_cones)
-        tr = cone_semigroup(rcat, r_cones)
-        tp = cone_semigroup(picat, p_cones)
+        tr = cone_semigroup(r_cones)
+        tp = cone_semigroup(p_cones)
         assert is_regular(tr) and is_regular(tp)
         assert find_isomorphism(tr, tp) is not None
 

@@ -401,6 +401,12 @@ class TestElementMap:
         with pytest.raises(ValueError):
             ElementMap(s, s, (0,) * 8 + (9,))
 
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_non_int_entry_refused(self, entry):
+        s = oxn_semigroup(3)
+        with pytest.raises(ValueError, match="must be ints"):
+            ElementMap(s, s, (0, entry) + tuple(range(2, 9)))
+
     def test_apply(self):
         s = oxn_semigroup(3)
         phi = ElementMap(s, s, tuple(range(9)))
